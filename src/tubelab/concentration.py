@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TOL
-from .linegeom import Direction, GeometryError, Line, line_metric
+from .linegeom import Direction, GeometryError, Line, complete_orthonormal, line_metric
 
 _RING_SPACING = 0.7  # polar ring spacing as a fraction of the target angle
 _RING_RES = 0.6  # in-ring resolution as a fraction of the target angle
@@ -240,9 +240,7 @@ class BallNet:
     def _basis(self, r: float, w_idx: int) -> np.ndarray:
         key = (r, w_idx)
         if key not in self._bases:
-            from .functionals import _orthobasis
-
-            self._bases[key] = _orthobasis(self._net(r).matrix[w_idx])
+            self._bases[key] = complete_orthonormal(self._net(r).matrix[w_idx][None], self.n)[1:]
         return self._bases[key]
 
     def candidate_keys(self, r: float, feet: np.ndarray, dirs: np.ndarray) -> dict:

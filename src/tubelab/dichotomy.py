@@ -18,7 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linegeom import CapCover, Direction, GeometryError, Subspace, subspace_wedge
+from .linegeom import (
+    CapCover,
+    Direction,
+    GeometryError,
+    Subspace,
+    complete_orthonormal,
+    subspace_wedge,
+    tuple_wedges,
+)
 
 #: Exhaustive tuple enumeration is used only up to this many tuples.
 EXHAUSTIVE_BUDGET = 10**6
@@ -73,21 +81,6 @@ class DichotomyResult:
     captured_count: int | None = None
 
 
-def _tuple_wedges(mat: np.ndarray, k: int) -> np.ndarray:
-    """Wedge volumes of all ordered k-tuples, as an array of shape (N,)*k."""
-    N = mat.shape[0]
-    if k == 1:
-        return np.ones(N)
-    gram = mat @ mat.T
-    if k == 2:
-        det = 1.0 - gram**2
-        return np.sqrt(np.clip(det, 0.0, 1.0))
-    idx = np.indices((N,) * k).reshape(k, -1)
-    g = gram[idx[:, None, :], idx[None, :, :]]  # (k, k, N^k)
-    det = np.linalg.det(np.moveaxis(g, 2, 0))
-    return np.sqrt(np.clip(det, 0.0, 1.0)).reshape((N,) * k)
-
-
 def _check_budget(N: int, k: int) -> None:
     if N**k > EXHAUSTIVE_BUDGET:
         raise BudgetError(
@@ -103,7 +96,7 @@ def count_spread_tuples(U: DirectionMultiset, k: int, rho: float) -> int:
     if not 0.0 <= rho <= 1.0:
         raise GeometryError(f"rho must lie in [0, 1], got {rho}")
     _check_budget(len(U), k)
-    w = _tuple_wedges(U.matrix(), k)
+    w = tuple_wedges([U.matrix()] * k)
     return int(np.count_nonzero(w >= rho ** (k - 1)))
 
 
@@ -148,26 +141,6 @@ def verify_option_b(U: DirectionMultiset, k: int, rho: float, H: Subspace) -> bo
     return captured * 4**k >= len(U)
 
 
-def _complete_subspace(W: np.ndarray, target_dim: int, n: int) -> np.ndarray:
-    """Extend the orthonormal rows of W to target_dim rows deterministically.
-
-    Standard basis vectors are appended in order and re-orthonormalized, so
-    the completion depends only on W.
-    """
-    rows = [w for w in W]
-    for i in range(n):
-        if len(rows) == target_dim:
-            break
-        e = np.zeros(n)
-        e[i] = 1.0
-        for r in rows:
-            e = e - np.dot(e, r) * r
-        norm = np.linalg.norm(e)
-        if norm > 1e-8:
-            rows.append(e / norm)
-    return np.stack(rows[:target_dim])
-
-
 def decide_dichotomy(U: DirectionMultiset, k: int, rho: float) -> DichotomyResult:
     """Decide the dichotomy and return a certificate verified by its oracle.
 
@@ -202,7 +175,7 @@ def decide_dichotomy(U: DirectionMultiset, k: int, rho: float) -> DichotomyResul
     # Smallest j in [2, k] with at least 2^(2j-2k-1) N^j degenerate j-tuples.
     j_star = None
     for j in range(2, k + 1):
-        w_j = _tuple_wedges(mat, j)
+        w_j = tuple_wedges([mat] * j)
         degenerate = int(np.count_nonzero(w_j < rho ** (j - 1)))
         # degenerate >= 2^(2j-2k-1) N^j, in exact integer arithmetic.
         if degenerate * 2 ** (2 * k + 1 - 2 * j) >= N**j:
@@ -214,8 +187,8 @@ def decide_dichotomy(U: DirectionMultiset, k: int, rho: float) -> DichotomyResul
         )
 
     j = j_star
-    prefix_wedges = _tuple_wedges(mat, j - 1)
-    full_wedges = _tuple_wedges(mat, j)
+    prefix_wedges = tuple_wedges([mat] * (j - 1))
+    full_wedges = tuple_wedges([mat] * j)
     best_near_miss = (-1, None)
     witness_prefix = None
     for prefix in itertools.product(range(N), repeat=j - 1):
@@ -234,7 +207,7 @@ def decide_dichotomy(U: DirectionMultiset, k: int, rho: float) -> DichotomyResul
         )
 
     W = np.linalg.qr(mat[list(witness_prefix)].T)[0].T
-    H = Subspace(_complete_subspace(W, k - 1, U.n))
+    H = Subspace(complete_orthonormal(W, U.n)[: k - 1])
     captured = sum(1 for d in U.items if subspace_wedge(H, d) <= rho)
     result = DichotomyResult(variant="B", witness=H, captured_count=captured)
     if not verify_option_b(U, k, rho, H):
@@ -259,7 +232,7 @@ def control_card_ratio(U: DirectionMultiset, k: int, rho: float, seed: int = 0) 
     N = len(U)
     mat = U.matrix()
     _check_budget(N, k)
-    wedge_sum = float(_tuple_wedges(mat, k).sum())
+    wedge_sum = float(tuple_wedges([mat] * k).sum())
 
     candidates: list[Subspace] = []
     try:

@@ -58,7 +58,7 @@ class ExponentFit:
     slope: float
     residual: float  # RMS residual of the log-log fit
 
-    def __init__(self, scales, values, slope=None, residual=None, x_is_inverse=False):
+    def __init__(self, scales, values, x_is_inverse=False):
         scales = tuple(float(s) for s in scales)
         values = tuple(float(v) for v in values)
         if len(scales) < 3:
@@ -162,10 +162,9 @@ def holder_comparison(F: TubeFamily, G: Grid, p: float) -> HolderReport:
     if raster.occ.size == 0:
         raise GeometryError("family rasterizes to an empty region")
     hv = G.cell_volume
-    counts = raster.counts.astype(float)
-    mass_lhs = hv * float(counts.sum())  # sum over tubes of |T ∩ E_delta|
+    mass_lhs = hv * float(raster.counts.astype(float).sum())  # sum over tubes of |T ∩ E_delta|
     region_volume = hv * float(raster.occ.size)
-    norm_p = float((hv * np.sum(counts**p)) ** (1.0 / p))
+    norm_p = raster.lp_norm(p)
     holder_rhs = region_volume ** (1.0 / p_prime) * norm_p
     chain_holds = mass_lhs <= holder_rhs * (1.0 + 1e-9)
 
@@ -203,8 +202,6 @@ def exponent_fit_norms(spec: GeneratorSpec, scales, p: float, grid_factor: int =
     for s in scales:
         fam = family_for_norms(replace(spec, delta=s))
         G = Grid.for_family(fam, factor=grid_factor)
-        raster = FamilyRaster.build(fam, G)
-        hv = G.cell_volume
-        norm = float((hv * np.sum(raster.counts.astype(float) ** p)) ** (1.0 / p))
+        norm = FamilyRaster.build(fam, G).lp_norm(p)
         values.append(norm / fam.sum_volume() ** (1.0 / p))
     return ExponentFit(scales, values)

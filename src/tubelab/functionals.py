@@ -6,15 +6,18 @@ belongs to a tube exactly when its center does.  Indicator integrands make
 higher-order quadrature pointless, and the midpoint rule is unbiased on
 unions of slabs.
 
-A family is rasterized once into per-tube cell lists (small families) or a
-streamed dense count field (large families); multilinear sums are evaluated
-per cell over only the tubes containing that cell, never by materializing
-the k-fold product of families.
+A family is rasterized once per grid into a `FamilyRaster`: per-tube cell
+lists for small families, a streamed dense count field for large ones.  The
+raster carries its family and is passed to every evaluation on that grid, so
+norms, cap and coarse-tube groupings and multilinear sums share one
+rasterization.  Multilinear sums look up, per cell, only the tubes containing
+that cell and sum the wedge volumes of their tuples from one table computed
+by `linegeom.tuple_wedges`, never materializing the k-fold product over
+cells.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +29,9 @@ from .linegeom import (
     Line,
     Tube,
     build_cap_cover,
+    complete_orthonormal,
     segment_point_distances,
+    tuple_wedges,
 )
 
 #: Dilation images are comparable to delta/rho-tubes within this factor and
@@ -236,11 +241,12 @@ def rasterize_tube(grid: Grid, tube: Tube) -> np.ndarray:
 class FamilyRaster:
     """Rasterization of one family on one grid.
 
-    `tube_cells` holds per-tube cell lists for small families (required by
-    the multilinear and decomposition evaluators); large families keep only
-    aggregate counts.
+    `tube_cells` holds per-tube cell lists for families of at most
+    PER_TUBE_LIMIT tubes (required by the multilinear and grouping
+    evaluators); larger families keep only aggregate counts.
     """
 
+    family: TubeFamily
     grid: Grid
     occ: np.ndarray  # sorted linear indices of occupied cells
     counts: np.ndarray  # multiplicity per occupied cell
@@ -249,21 +255,13 @@ class FamilyRaster:
     _index: tuple | None = field(default=None, repr=False)
 
     @classmethod
-    def build(cls, F: TubeFamily, grid: Grid, keep_tube_cells: bool | None = None) -> "FamilyRaster":
+    def build(cls, F: TubeFamily, grid: Grid) -> "FamilyRaster":
         grid.check_resolves(F)
-        if keep_tube_cells is None:
-            keep_tube_cells = len(F) <= PER_TUBE_LIMIT
-        if keep_tube_cells:
+        if len(F) <= PER_TUBE_LIMIT:
             cells = [rasterize_tube(grid, t) for t in F.tubes]
-            if cells:
-                concat = np.concatenate(cells)
-                occ, counts = np.unique(concat, return_counts=True)
-                entries = int(concat.size)
-            else:
-                occ = np.empty(0, dtype=np.int64)
-                counts = np.empty(0, dtype=np.int64)
-                entries = 0
-            return cls(grid, occ, counts, entries, cells)
+            concat = np.concatenate(cells) if cells else np.empty(0, dtype=np.int64)
+            occ, counts = np.unique(concat, return_counts=True)
+            return cls(F, grid, occ, counts, int(concat.size), cells)
         dense = np.zeros(grid.total_cells, dtype=np.int64)
         chunk: list[np.ndarray] = []
         size = 0
@@ -279,7 +277,7 @@ class FamilyRaster:
         if chunk:
             dense += np.bincount(np.concatenate(chunk), minlength=grid.total_cells)
         occ = np.nonzero(dense)[0]
-        return cls(grid, occ, dense[occ], entries, None)
+        return cls(F, grid, occ, dense[occ], entries, None)
 
     def require_tube_cells(self) -> list[np.ndarray]:
         if self.tube_cells is None:
@@ -293,14 +291,8 @@ class FamilyRaster:
         """CSR index: for each occupied cell, which tubes contain it."""
         if self._index is None:
             cells = self.require_tube_cells()
-            if cells:
-                cat = np.concatenate(cells)
-                ids = np.concatenate(
-                    [np.full(c.size, i, dtype=np.int64) for i, c in enumerate(cells)]
-                )
-            else:
-                cat = np.empty(0, dtype=np.int64)
-                ids = np.empty(0, dtype=np.int64)
+            cat = np.concatenate(cells) if cells else np.empty(0, dtype=np.int64)
+            ids = np.repeat(np.arange(len(cells)), [c.size for c in cells])
             order = np.argsort(cat, kind="stable")
             cat, ids = cat[order], ids[order]
             starts = np.searchsorted(cat, self.occ, side="left")
@@ -318,6 +310,24 @@ class FamilyRaster:
         e = np.where(valid, ends[pos], 0)
         return s, e, ids
 
+    def lp_norm(self, p: float) -> float:
+        """Grid L^p norm of sum(chi_T): (h^n * sum counts^p)^(1/p)."""
+        if self.occ.size == 0:
+            return 0.0
+        return float((self.grid.cell_volume * np.sum(self.counts.astype(float) ** p)) ** (1.0 / p))
+
+    def grouped_lp_power(self, groups, p: float) -> float:
+        """Sum over tube-index groups of ||sum over the group of chi_T||_p^p.
+
+        Groups are summed in the order given.
+        """
+        cells = self.require_tube_cells()
+        acc = 0.0
+        for tubes in groups:
+            _, counts = np.unique(np.concatenate([cells[ti] for ti in tubes]), return_counts=True)
+            acc += float(np.sum(counts.astype(float) ** p)) * self.grid.cell_volume
+        return acc
+
 
 # ---------------------------------------------------------------------------
 # linear and multilinear norms
@@ -328,33 +338,7 @@ def lp_norm_tube_sum(F: TubeFamily, p: float, G: Grid) -> float:
     """Grid L^p norm of sum(chi_T): (h^n * sum counts^p)^(1/p)."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    r = FamilyRaster.build(F, G, keep_tube_cells=len(F) <= PER_TUBE_LIMIT)
-    if r.occ.size == 0:
-        return 0.0
-    return float((G.cell_volume * np.sum(r.counts.astype(float) ** p)) ** (1.0 / p))
-
-
-def _wedge_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    dot = a @ b.T
-    return np.sqrt(np.clip(1.0 - dot**2, 0.0, 1.0))
-
-
-def _wedge_tensor3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # Gram determinant of three unit vectors:
-    # det = 1 + 2*ab*ac*bc - ab^2 - ac^2 - bc^2.
-    if a.shape[0] * b.shape[0] * c.shape[0] > 50_000_000:
-        raise MemoryError("trilinear wedge tensor too large; reduce family sizes")
-    ab = a @ b.T
-    ac = a @ c.T
-    bc = b @ c.T
-    det = (
-        1.0
-        + 2.0 * ab[:, :, None] * ac[:, None, :] * bc[None, :, :]
-        - (ab**2)[:, :, None]
-        - (ac**2)[:, None, :]
-        - (bc**2)[None, :, :]
-    )
-    return np.sqrt(np.clip(det, 0.0, 1.0))
+    return FamilyRaster.build(F, G).lp_norm(p)
 
 
 def multilinear_cell_values(
@@ -381,44 +365,31 @@ def multilinear_cell_values(
     rasters: dict[int, FamilyRaster] = {}
     for f in families:
         if id(f) not in rasters:
-            rasters[id(f)] = FamilyRaster.build(f, G, keep_tube_cells=True)
-    rlist = [rasters[id(f)] for f in families]
+            rasters[id(f)] = FamilyRaster.build(f, G)
+    return _multilinear_values([rasters[id(f)] for f in families])
 
-    if len(rasters) == 1:
-        r0 = rlist[0]
+
+def _multilinear_values(rasters: list[FamilyRaster]) -> tuple[np.ndarray, np.ndarray]:
+    """multilinear_cell_values over built rasters, one per tuple slot.
+
+    A family repeated across slots is passed as the same raster object.
+    """
+    if len({id(r) for r in rasters}) == 1:
+        r0 = rasters[0]
         cand = r0.occ[r0.counts >= 2]
     else:
-        cand = rlist[0].occ
-        for r in rlist[1:]:
+        cand = rasters[0].occ
+        for r in rasters[1:]:
             cand = np.intersect1d(cand, r.occ, assume_unique=True)
     if cand.size == 0:
         return cand, np.zeros(0)
 
-    dirs = [f.direction_matrix() for f in families]
-    if k == 2:
-        W = _wedge_matrix(dirs[0], dirs[1])
-    elif k == 3:
-        W = _wedge_tensor3(dirs[0], dirs[1], dirs[2])
-    else:
-        W = None  # generic slow path below
-
-    lookups = [r.lookup(cand) for r in rlist]
+    W = tuple_wedges([r.family.direction_matrix() for r in rasters])
+    lookups = [r.lookup(cand) for r in rasters]
     vals = np.zeros(cand.size)
     for i in range(cand.size):
         subs = [ids[s[i] : e[i]] for (s, e, ids) in lookups]
-        if any(len(sub) == 0 for sub in subs):
-            continue
-        if k == 2:
-            vals[i] = W[np.ix_(subs[0], subs[1])].sum()
-        elif k == 3:
-            vals[i] = W[np.ix_(subs[0], subs[1], subs[2])].sum()
-        else:
-            total = 0.0
-            for combo in itertools.product(*[list(sub) for sub in subs]):
-                vecs = np.stack([dirs[j][combo[j]] for j in range(k)])
-                det = float(np.linalg.det(vecs @ vecs.T))
-                total += math.sqrt(max(det, 0.0))
-            vals[i] = total
+        vals[i] = W[np.ix_(*subs)].sum()
     return cand, vals
 
 
@@ -459,41 +430,35 @@ def _conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def decompose_lp(
-    F: TubeFamily, rho: float, k: int, p: float, G: Grid
-) -> tuple[float, float]:
+def decompose_lp(raster: FamilyRaster, rho: float, k: int, p: float) -> tuple[float, float]:
     """Two-term splitting of the L^p norm of sum(chi_T) at coarseness rho.
 
     Returns (term_multilinear, term_caps):
       term_multilinear = rho^((1-k)/k) * || (k-fold self transversality)^(1/k) ||_p
       term_caps        = rho^((2-k)/p') * ( sum over caps tau of
                          || sum over tubes with direction in tau of chi_T ||_p^p )^(1/p)
-    with caps of diameter rho and p' the conjugate of p.  The norm of
-    sum(chi_T) is bounded by a constant times the sum of the two terms.
+    with caps of diameter rho and p' the conjugate of p, both evaluated on
+    the raster's family and grid.  The norm of sum(chi_T) is bounded by a
+    constant times the sum of the two terms.
     """
+    F, G = raster.family, raster.grid
     if not F.delta <= rho <= 1.0:
         raise ValueError(f"need delta <= rho <= 1, got rho={rho}, delta={F.delta}")
     if not 2 <= k <= F.n:
         raise GeometryError(f"need 2 <= k <= n, got k={k}")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    G.check_resolves(F)
 
-    integral = multilinear_power_integral([F] * k, p / k, G)
+    _, vals = _multilinear_values([raster] * k)
+    integral = float(G.cell_volume * np.sum(vals ** (p / k)))
     term_multilinear = rho ** ((1.0 - k) / k) * integral ** (1.0 / p)
 
     cover = build_cap_cover(F.n, rho)
-    raster = FamilyRaster.build(F, G, keep_tube_cells=True)
-    cells = raster.require_tube_cells()
     members: dict[int, list[int]] = {}
     for ti, tube in enumerate(F.tubes):
         for ci in cover.caps_containing(tube.direction):
             members.setdefault(int(ci), []).append(ti)
-    acc = 0.0
-    for ci, tubes in members.items():
-        cat = np.concatenate([cells[ti] for ti in tubes])
-        _, counts = np.unique(cat, return_counts=True)
-        acc += float(np.sum(counts.astype(float) ** p)) * G.cell_volume
+    acc = raster.grouped_lp_power(members.values(), p)
     pc = _conjugate(p)
     cap_prefactor = 1.0 if math.isinf(pc) else rho ** ((2.0 - k) / pc)
     term_caps = cap_prefactor * acc ** (1.0 / p)
@@ -507,23 +472,6 @@ class RhoCoarsening:
     rho: float
     coarse_tubes: tuple[Tube, ...]
     assignment: tuple[tuple[int, ...], ...]  # fine index -> coarse indices
-
-
-def _orthobasis(u: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the hyperplane orthogonal to u."""
-    n = u.shape[0]
-    cols = [u]
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        for c in cols:
-            e = e - np.dot(e, c) * c
-        norm = np.linalg.norm(e)
-        if norm > 1e-8:
-            cols.append(e / norm)
-        if len(cols) == n:
-            break
-    return np.stack(cols[1:])
 
 
 def coarsen_to_rho_tubes(F: TubeFamily, rho: float) -> RhoCoarsening:
@@ -541,7 +489,7 @@ def coarsen_to_rho_tubes(F: TubeFamily, rho: float) -> RhoCoarsening:
     if rho > 0.5:
         raise ValueError("coarsening radius above 1/2 is not supported")
     cover = build_cap_cover(F.n, rho / 2.0)
-    bases = {i: _orthobasis(c.u) for i, c in enumerate(cover.centers)}
+    bases = {i: complete_orthonormal(c.u[None], F.n)[1:] for i, c in enumerate(cover.centers)}
     trans = rho / 4.0
 
     coarse_index: dict[tuple, int] = {}
@@ -652,7 +600,7 @@ def rescale_into_ball(F_sub: TubeFamily, T_rho: Tube) -> RescaledFamily:
                 f"tube {i} is not contained in the coarse tube "
                 f"(max endpoint distance {float(d.max()):.4g} > rho + delta)"
             )
-    rot = np.vstack([T_rho.direction.u[None, :], _orthobasis(T_rho.direction.u)])
+    rot = complete_orthonormal(T_rho.direction.u[None], F_sub.n)
     A = AffineRescaling(rot, T_rho.segment_center.copy(), float(rho))
     new_radius = delta / rho
     images = [A.map_tube(t, new_radius) for t in F_sub.tubes]
@@ -702,12 +650,12 @@ def calculation_chain(F: TubeFamily, G: Grid) -> ChainReport:
     budget = delta ** (2.0 * (1 - d) - beta)
     if len(F) > budget * (1.0 + 1e-9):
         raise ValueError(f"family has {len(F)} tubes, cardinality budget is {budget:.4g}")
-    G.check_resolves(F)
+    raster = FamilyRaster.build(F, G)
     p_prime = F.p_prime
     p = F.p
     k = d + 1
 
-    cells, M = multilinear_cell_values([F] * k, G)
+    _, M = _multilinear_values([raster] * k)
     hv = G.cell_volume
     v1 = float(hv * np.sum(M ** (p / (d + 1.0))))
     v2 = float(len(F) ** (p - (d + 1.0) / d) * hv * np.sum(M ** (1.0 / d)))
@@ -758,20 +706,21 @@ def calculation_chain(F: TubeFamily, G: Grid) -> ChainReport:
     )
 
 
-def induction_step_terms(F: TubeFamily, rho: float, G: Grid) -> tuple[float, float]:
+def induction_step_terms(raster: FamilyRaster, rho: float) -> tuple[float, float]:
     """The two terms controlling ||sum chi_T||_p at coarseness rho.
 
     term1 = rho^(-d/(d+1)) * delta^((1-d)/p') * (sum |T|)^(1/p)
     term2 = rho^((1-d)/p') * ( sum over coarse tubes of
             || sum over fine tubes inside of chi_T ||_p^p )^(1/p)
+    for the raster's family, with norms on the raster's grid.
     """
+    F = raster.family
     delta, d = F.delta, F.d
     budget = delta ** (2.0 * (1 - d) - F.beta)
     if len(F) > budget * (1.0 + 1e-9):
         raise ValueError(f"family has {len(F)} tubes, cardinality budget is {budget:.4g}")
     if delta > rho / 2.0:
         raise ValueError(f"need delta <= rho/2, got delta={delta}, rho={rho}")
-    G.check_resolves(F)
     p_prime = F.p_prime
     p = F.p
 
@@ -779,16 +728,10 @@ def induction_step_terms(F: TubeFamily, rho: float, G: Grid) -> tuple[float, flo
     term1 = rho ** (-d / (d + 1.0)) * delta ** ((1.0 - d) / p_prime) * sumT ** (1.0 / p)
 
     coarsening = coarsen_to_rho_tubes(F, rho)
-    raster = FamilyRaster.build(F, G, keep_tube_cells=True)
-    cells = raster.require_tube_cells()
     by_coarse: dict[int, list[int]] = {}
     for fi, coarse_ids in enumerate(coarsening.assignment):
         for ci in coarse_ids:
             by_coarse.setdefault(ci, []).append(fi)
-    acc = 0.0
-    for ci, fine in by_coarse.items():
-        cat = np.concatenate([cells[fi] for fi in fine])
-        _, counts = np.unique(cat, return_counts=True)
-        acc += float(np.sum(counts.astype(float) ** p)) * G.cell_volume
+    acc = raster.grouped_lp_power(by_coarse.values(), p)
     term2 = rho ** ((1.0 - d) / p_prime) * acc ** (1.0 / p)
     return float(term1), float(term2)

@@ -18,8 +18,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .concentration import BallNet, IncrementalBallCounter
-from .functionals import TubeFamily, _orthobasis
-from .linegeom import Direction, GeometryError, Line, Tube, _sphere_net
+from .functionals import TubeFamily
+from .linegeom import Direction, GeometryError, Line, Tube, _sphere_net, complete_orthonormal
 
 #: Transverse span occupied by generated configurations, chosen so that unit
 #: segments stay inside B(0,1).
@@ -131,7 +131,7 @@ def gen_lines_in_planes(
         if d == 1:
             foot_basis = np.zeros((0, n))
         else:
-            in_plane = _orthobasis(u_plane)  # (d-1, d)
+            in_plane = complete_orthonormal(u_plane[None], d)[1:]  # (d-1, d)
             foot_basis = np.zeros((d - 1, n))
             foot_basis[:, :d] = in_plane
         if d == 1:
@@ -184,7 +184,7 @@ def gen_random_nonconcentrated(
         draws += 1
         u = rng.normal(size=n)
         u /= np.linalg.norm(u)
-        q = _orthobasis(u)
+        q = complete_orthonormal(u[None], n)[1:]
         y = rng.normal(size=n - 1)
         norm = np.linalg.norm(y)
         radius = max_foot * rng.random() ** (1.0 / (n - 1))

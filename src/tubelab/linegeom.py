@@ -216,6 +216,57 @@ def wedge_volume(vs) -> float:
     return min(math.sqrt(max(det, 0.0)), 1.0)
 
 
+#: tuple_wedges refuses more tuples than this.  Pairs of families that keep
+#: per-tube cell lists stay below it; at the limit the k = 3 path holds about
+#: 1 GB of temporaries and the k >= 4 path a k x k Gram matrix per tuple.
+WEDGE_TUPLE_LIMIT = 20_000_000
+
+
+def tuple_wedges(mats) -> np.ndarray:
+    """Wedge volumes of every tuple taking one row from each matrix.
+
+    For unit-row matrices of shapes (N1, n), ..., (Nk, n) returns an array of
+    shape (N1, ..., Nk) whose entry (i1, ..., ik) is the volume spanned by
+    rows mats[0][i1], ..., mats[k-1][ik], clamped into [0, 1].  Gram
+    entries come from the pairwise products mats[a] @ mats[b].T.  The volume
+    is 1 for k = 1 and the square root of the Gram determinant otherwise: in
+    closed form with unit diagonal for k = 2 and 3 (with ab = a . b,
+    1 - ab^2 and 1 + 2 ab ac bc - ab^2 - ac^2 - bc^2), by batched LU for
+    k >= 4.  A tuple that repeats a vector has a determinant at roundoff
+    level, so its volume is of order 1e-8 rather than 0.  `wedge_volume` is
+    the scalar reference.
+    """
+    k = len(mats)
+    shape = tuple(m.shape[0] for m in mats)
+    tuples = math.prod(shape)
+    if tuples > WEDGE_TUPLE_LIMIT:
+        raise MemoryError(
+            f"{tuples} {k}-tuples of directions exceed the wedge limit of "
+            f"{WEDGE_TUPLE_LIMIT}; reduce the family sizes"
+        )
+    if k == 1:
+        return np.ones(shape)
+    if k == 2:
+        g = mats[0] @ mats[1].T
+        return np.sqrt(np.clip(1.0 - g**2, 0.0, 1.0))
+    if k == 3:
+        ab, ac, bc = mats[0] @ mats[1].T, mats[0] @ mats[2].T, mats[1] @ mats[2].T
+        det = (
+            1.0
+            + 2.0 * ab[:, :, None] * ac[:, None, :] * bc[None, :, :]
+            - (ab**2)[:, :, None]
+            - (ac**2)[:, None, :]
+            - (bc**2)[None, :, :]
+        )
+        return np.sqrt(np.clip(det, 0.0, 1.0))
+    idx = np.ix_(*(np.arange(N) for N in shape))
+    gram = np.empty(shape + (k, k))
+    for a in range(k):
+        for b in range(k):
+            gram[..., a, b] = (mats[a] @ mats[b].T)[idx[a], idx[b]]
+    return np.sqrt(np.clip(np.linalg.det(gram), 0.0, 1.0))
+
+
 def direction_wedge(a: Direction | np.ndarray, b: Direction | np.ndarray) -> float:
     """|u ^ u'| for two unit vectors: sqrt(1 - (u.u')^2)."""
     ua = a.u if isinstance(a, Direction) else np.asarray(a, dtype=float)
@@ -270,6 +321,27 @@ def point_in_tube(T: Tube, p) -> bool:
 def line_of_tube(T: Tube) -> Line:
     """The line coaxial with T (foot point recomputed from the segment center)."""
     return Line.through(T.segment_center, T.direction)
+
+
+def complete_orthonormal(rows, n: int) -> np.ndarray:
+    """Extend orthonormal rows to an orthonormal basis of R^n, shape (n, n).
+
+    The given rows come first.  Standard basis vectors are then orthogonalized
+    against the rows so far, in order, and kept when they leave a remainder,
+    so the completion depends only on the given rows.
+    """
+    basis = [np.asarray(r, dtype=float) for r in rows]
+    for i in range(n):
+        if len(basis) == n:
+            break
+        e = np.zeros(n)
+        e[i] = 1.0
+        for r in basis:
+            e = e - np.dot(e, r) * r
+        norm = np.linalg.norm(e)
+        if norm > 1e-8:
+            basis.append(e / norm)
+    return np.stack(basis)
 
 
 def segment_point_distances(points: np.ndarray, center: np.ndarray, u: np.ndarray, length: float) -> np.ndarray:
@@ -353,10 +425,6 @@ class CapCover:
         uu = u.u if isinstance(u, Direction) else np.asarray(u, dtype=float)
         dots = np.abs(self._matrix @ uu)
         return np.nonzero(dots >= math.cos(self.rho) - 1e-12)[0]
-
-    def nearest_center(self, u) -> int:
-        uu = u.u if isinstance(u, Direction) else np.asarray(u, dtype=float)
-        return int(np.argmax(np.abs(self._matrix @ uu)))
 
 
 def build_cap_cover(n: int, rho: float) -> CapCover:

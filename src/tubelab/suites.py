@@ -13,7 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+# lp_norm_tube_sum stays in this namespace, unused: perfbench/spans.py
+# wraps suites.lp_norm_tube_sum.
 from .functionals import (
+    FamilyRaster,
     Grid,
     TubeFamily,
     decompose_lp,
@@ -23,6 +26,10 @@ from .functionals import (
     multilinear_kakeya_rhs,
 )
 from .generators import gen_axes, gen_bush, gen_lines_in_planes, gen_random_nonconcentrated
+
+
+class IncompleteFamilyError(RuntimeError):
+    """A suite member's random family stopped short of its target count."""
 
 
 @dataclass(frozen=True)
@@ -60,16 +67,24 @@ def _bush_member(name: str, n: int, k: int) -> SuiteMember:
 
 
 def _random_member(name: str, n: int, d: int, beta: float, k: int, seeds) -> SuiteMember:
+    def draw(delta: float, seed: int) -> TubeFamily:
+        res = gen_random_nonconcentrated(n, d, beta, delta, seed=seed)
+        if not res.complete:
+            raise IncompleteFamilyError(
+                f"suite member {name}: random family at delta={delta}, seed={seed} "
+                f"reached {len(res.family)} tubes after {res.draws} draws, short of "
+                f"its target; no partial family enters the suite"
+            )
+        return res.family
+
     def families(delta: float) -> list[TubeFamily]:
-        fams = [
-            gen_random_nonconcentrated(n, d, beta, delta, seed=s).family for s in seeds
-        ]
+        fams = [draw(delta, s) for s in seeds]
         if len(fams) == 1:
             return [fams[0]] * k
         return fams[:k]
 
     def fam(delta: float) -> TubeFamily:
-        return gen_random_nonconcentrated(n, d, beta, delta, seed=seeds[0]).family
+        return draw(delta, seeds[0])
 
     return SuiteMember(name, n, d, beta, k, families, fam)
 
@@ -123,11 +138,9 @@ def decompose_constant(
 ) -> float:
     """C with ||sum chi_T||_p <= C (term_multilinear + term_caps)."""
     F = member.family(delta)
-    G = Grid.for_family(F, factor=grid_factor)
-    p = F.p
-    t1, t2 = decompose_lp(F, rho, min(member.k, F.n), p, G)
-    norm = lp_norm_tube_sum(F, p, G)
-    return norm / (t1 + t2)
+    raster = FamilyRaster.build(F, Grid.for_family(F, factor=grid_factor))
+    t1, t2 = decompose_lp(raster, rho, min(member.k, F.n), F.p)
+    return raster.lp_norm(F.p) / (t1 + t2)
 
 
 def induction_constant(
@@ -135,7 +148,6 @@ def induction_constant(
 ) -> float:
     """C with ||sum chi_T||_p <= C (term1 + term2) in the coarsening step."""
     F = member.family(delta)
-    G = Grid.for_family(F, factor=grid_factor)
-    t1, t2 = induction_step_terms(F, rho, G)
-    norm = lp_norm_tube_sum(F, F.p, G)
-    return norm / (t1 + t2)
+    raster = FamilyRaster.build(F, Grid.for_family(F, factor=grid_factor))
+    t1, t2 = induction_step_terms(raster, rho)
+    return raster.lp_norm(F.p) / (t1 + t2)

@@ -31,6 +31,7 @@ from tubelab.dimension import (
     holder_comparison,
 )
 from tubelab.functionals import (
+    FamilyRaster,
     Grid,
     calculation_chain,
     decompose_lp,
@@ -294,8 +295,9 @@ def test_criterion_10_grid_convergence():
             G = Grid.for_family(F, factor=factor)
             fams = member.mk_families(delta)
             Gm = Grid.for_family(fams[0], factor=factor)
-            t1, t2 = decompose_lp(F, 0.25, min(member.k, F.n), F.p, G)
-            i1, i2 = induction_step_terms(F, 0.25, G)
+            raster = FamilyRaster.build(F, G)
+            t1, t2 = decompose_lp(raster, 0.25, min(member.k, F.n), F.p)
+            i1, i2 = induction_step_terms(raster, 0.25)
             vals[factor] = {
                 "lp": lp_norm_tube_sum(F, F.p, G),
                 "mk": multilinear_kakeya_lhs(fams, Gm),

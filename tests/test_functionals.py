@@ -1,10 +1,12 @@
 """Grid functionals: norms, multilinear sums, decompositions, rescaling."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from tubelab import functionals
 from tubelab.functionals import (
     C_COMP,
     FamilyRaster,
@@ -17,6 +19,7 @@ from tubelab.functionals import (
     decompose_lp,
     induction_step_terms,
     lp_norm_tube_sum,
+    multilinear_cell_values,
     multilinear_kakeya_lhs,
     multilinear_kakeya_rhs,
     rasterize_tube,
@@ -26,7 +29,9 @@ from tubelab.linegeom import (
     Direction,
     GeometryError,
     Tube,
+    point_in_tube,
     segment_point_distances,
+    wedge_volume,
 )
 
 
@@ -63,12 +68,14 @@ class TestRasterization:
             want = set(allc[dist <= delta + 1e-12].tolist())
             assert got == want
 
-    def test_streaming_counts_match_per_tube_counts(self):
+    def test_streaming_counts_match_per_tube_counts(self, monkeypatch):
         rng = np.random.default_rng(5)
         F = generic_family(rng, 2, 1 / 16, 12)
         G = Grid.for_family(F, 4)
-        small = FamilyRaster.build(F, G, keep_tube_cells=True)
-        big = FamilyRaster.build(F, G, keep_tube_cells=False)
+        small = FamilyRaster.build(F, G)
+        monkeypatch.setattr(functionals, "PER_TUBE_LIMIT", len(F) - 1)
+        big = FamilyRaster.build(F, G)
+        assert small.tube_cells is not None and big.tube_cells is None
         np.testing.assert_array_equal(small.occ, big.occ)
         np.testing.assert_array_equal(small.counts, big.counts)
         assert small.entries == big.entries
@@ -156,6 +163,61 @@ class TestMultilinear:
         F = family(tubes, delta, 3)
         assert multilinear_kakeya_rhs([F, F, F]) == pytest.approx(4 * tubes[0].volume())
 
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_n4_k4_matches_tuple_enumeration(self, shared):
+        # Oracle: cell membership by point_in_tube on every cell center, and
+        # the sum over ordered 4-tuples of containing tubes of wedge_volume.
+        rng = np.random.default_rng(41)
+        n, delta = 4, 0.5
+        fams = []
+        for axis in range(n):
+            tubes = []
+            for _ in range(2):
+                u = np.eye(n)[axis] + 0.3 * rng.normal(size=n)
+                tubes.append(Tube(rng.uniform(-0.15, 0.15, size=n), Direction(u), delta))
+            fams.append(family(tubes, delta, n))
+        if shared:
+            fams = [family([f.tubes[0] for f in fams], delta, n)] * n
+        G = Grid.for_family(fams[0], factor=2)
+        centers = G.centers_of_linear(np.arange(G.total_cells))
+        inside = [
+            [[i for i, t in enumerate(f.tubes) if point_in_tube(t, c)] for f in fams]
+            for c in centers
+        ]
+        want = {}
+        for cell, members in enumerate(inside):
+            total = 0.0
+            for combo in itertools.product(*members):
+                total += wedge_volume([fams[j].tubes[i].direction.u for j, i in enumerate(combo)])
+            if total > 0.0:
+                want[cell] = total
+        cells, vals = multilinear_cell_values(fams, G)
+        got = dict(zip(cells.tolist(), vals.tolist()))
+        assert want and set(want) <= set(got)
+        for cell in got:
+            assert got[cell] == pytest.approx(want.get(cell, 0.0), rel=1e-12, abs=1e-12)
+
+    def test_loomis_whitney_n4_round_tube_value(self):
+        # Four axis tubes crossing at the origin.  For slabs Loomis-Whitney
+        # is an equality (criterion 02); round tubes cross in
+        # {x : |x without x_i| <= delta for every i}, of volume V4 delta^4
+        # with V4 = 8 * int_{B^3} min_i |x_i| dx = 2 * int_{S^2} min_i |u_i|,
+        # so the exact ratio is (V4 delta^4)^(3/4) / |T|.
+        from tubelab.generators import gen_axes
+
+        th = (np.arange(1000) + 0.5) * math.pi / 1000
+        ph = (np.arange(2000) + 0.5) * math.pi / 1000
+        T_, P_ = np.meshgrid(th, ph, indexing="ij")
+        u = np.abs(np.stack([np.sin(T_) * np.cos(P_), np.sin(T_) * np.sin(P_), np.cos(T_)]))
+        v4 = 2.0 * float((u.min(axis=0) * np.sin(T_)).sum()) * (math.pi / 1000) ** 2
+        delta = 2.0**-3
+        families = gen_axes(4, 4, delta, 1)
+        G = Grid.for_family(families[0], h=delta / 4)
+        ratio = multilinear_kakeya_lhs(families, G) / multilinear_kakeya_rhs(families)
+        exact = (v4 * delta**4) ** 0.75 / families[0].tubes[0].volume()
+        assert ratio <= 1.0
+        assert abs(ratio / exact - 1.0) <= 0.1
+
 
 class TestDecompose:
     def test_single_cap_family_puts_norm_in_cap_term(self):
@@ -163,7 +225,7 @@ class TestDecompose:
         tubes = [Tube([0.0, 0.1 * i - 0.2], Direction([1.0, 0.0]), delta) for i in range(5)]
         F = family(tubes, delta, 2)
         G = Grid.for_family(F, 4)
-        t1, t2 = decompose_lp(F, 0.25, 2, 2.0, G)
+        t1, t2 = decompose_lp(FamilyRaster.build(F, G), 0.25, 2, 2.0)
         assert t1 == 0.0
         assert t2 > 0.0
 
@@ -173,7 +235,7 @@ class TestDecompose:
         T = Tube([0.0, 0.0], Direction([1.0, 0.0]), delta)
         F = family([T], delta, 2)
         G = Grid.for_family(F, 4)
-        _, t2 = decompose_lp(F, rho, k, p, G)
+        _, t2 = decompose_lp(FamilyRaster.build(F, G), rho, k, p)
         norm = lp_norm_tube_sum(F, p, G)
         assert t2 >= rho ** ((2 - k) / (p / (p - 1))) * norm - 1e-12
 
@@ -189,7 +251,7 @@ class TestDecompose:
             )
         F = family(tubes, delta, 2)
         G = Grid.for_family(F, 4)
-        t1, t2 = decompose_lp(F, 0.25, 2, 2.0, G)
+        t1, t2 = decompose_lp(FamilyRaster.build(F, G), 0.25, 2, 2.0)
         assert t1 > 0 and t2 > 0
         norm = lp_norm_tube_sum(F, 2.0, G)
         assert norm <= 4.0 * (t1 + t2)
@@ -240,7 +302,7 @@ class TestCoarsening:
         rho, p = 0.25, 2.0
         F = generic_family(rng, 3, delta, 60)
         G = Grid.for_family(F, 4)
-        raster = FamilyRaster.build(F, G, keep_tube_cells=True)
+        raster = FamilyRaster.build(F, G)
         cells = raster.tube_cells
         from tubelab.linegeom import build_cap_cover
 
@@ -408,7 +470,7 @@ class TestInductionStep:
         delta = 2.0**-5
         F = family([Tube([0.0, 0.0], Direction([1.0, 0.0]), delta)], delta, 2)
         G = Grid.for_family(F, 4)
-        t1, t2 = induction_step_terms(F, 0.25, G)
+        t1, t2 = induction_step_terms(FamilyRaster.build(F, G), 0.25)
         assert t1 > 0
         norm = lp_norm_tube_sum(F, F.p, G)
         assert norm <= 10.0 * (t1 + t2)
@@ -423,7 +485,7 @@ class TestInductionStep:
         ]
         F = family(tubes, delta, 2)
         G = Grid.for_family(F, 4)
-        t1, t2 = induction_step_terms(F, rho, G)
+        t1, t2 = induction_step_terms(FamilyRaster.build(F, G), rho)
         norm = lp_norm_tube_sum(F, F.p, G)
         expected = rho ** ((1 - F.d) / F.p_prime) * norm
         # Coarse tubes overlap, so groups may repeat: t2 is at least the
@@ -438,6 +500,6 @@ class TestInductionStep:
         for delta in (2.0**-4, 2.0**-5, 2.0**-6):
             F = gen_bush(2, delta, int(round(1 / delta)))
             G = Grid.for_family(F, 4)
-            t1, t2 = induction_step_terms(F, rho, G)
+            t1, t2 = induction_step_terms(FamilyRaster.build(F, G), rho)
             cs.append(lp_norm_tube_sum(F, F.p, G) / (t1 + t2))
         assert max(cs) / min(cs) <= 2.0

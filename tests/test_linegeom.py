@@ -13,11 +13,14 @@ from tubelab.linegeom import (
     Line,
     Subspace,
     Tube,
+    WEDGE_TUPLE_LIMIT,
     build_cap_cover,
+    complete_orthonormal,
     line_metric,
     line_of_tube,
     point_in_tube,
     subspace_wedge,
+    tuple_wedges,
     unit_ball_volume,
     wedge_volume,
 )
@@ -160,6 +163,57 @@ class TestWedgeVolume:
             for i in range(k):
                 sub = np.delete(vs, i, axis=0)
                 assert full <= wedge_volume(sub) + 1e-12
+
+
+class TestTupleWedges:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_scalar_wedge_volume(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in range(2, 6):
+            for k in range(1, min(n, 4) + 1):
+                mats = []
+                for _ in range(k):
+                    m = random_units(rng, int(rng.integers(1, 5)), n)
+                    # A row parallel to an earlier matrix's row, and an axis row.
+                    if mats:
+                        m[0] = -mats[0][0]
+                    m[-1] = np.eye(n)[int(rng.integers(n))]
+                    mats.append(m)
+                W = tuple_wedges(mats)
+                assert W.shape == tuple(m.shape[0] for m in mats)
+                for idx in np.ndindex(*W.shape):
+                    want = wedge_volume([mats[j][i] for j, i in enumerate(idx)])
+                    # Compared as Gram determinants: near-parallel tuples have
+                    # determinants at roundoff level, whose square roots differ.
+                    assert abs(W[idx] ** 2 - want**2) <= 1e-12, (n, k, idx)
+
+    def test_orthogonal_and_parallel_rows(self):
+        eye = np.eye(4)
+        W = tuple_wedges([eye, eye, eye])
+        for idx in np.ndindex(*W.shape):
+            assert W[idx] == (1.0 if len(set(idx)) == 3 else 0.0)
+
+    def test_size_guard_names_tuple_count(self):
+        big = np.tile(np.eye(2)[:1], (5000, 1))
+        count = 5000 * 5000
+        assert count > WEDGE_TUPLE_LIMIT
+        with pytest.raises(MemoryError, match=f"{count} 2-tuples"):
+            tuple_wedges([big, big])
+
+
+class TestCompleteOrthonormal:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_orthonormal_basis_keeping_given_rows(self, n):
+        rng = np.random.default_rng(n)
+        for rows in (random_units(rng, 1, n), np.linalg.qr(rng.normal(size=(n, n - 1)))[0].T):
+            B = complete_orthonormal(rows, n)
+            assert B.shape == (n, n)
+            np.testing.assert_array_equal(B[: len(rows)], rows)
+            np.testing.assert_allclose(B @ B.T, np.eye(n), atol=1e-12)
+
+    def test_axis_rows_complete_with_remaining_axes(self):
+        B = complete_orthonormal(np.eye(3)[1:2], 3)
+        np.testing.assert_array_equal(B, np.eye(3)[[1, 0, 2]])
 
 
 class TestSubspaceWedge:
