@@ -65,6 +65,28 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+#: Grid factors 1/h (h as a fraction of delta) on which `rasterize_tube` is
+#: checked against a brute-force raster; finer grids lose cells.
+GRID_FACTORS = range(2, 9)
+
+
+def _grid_factor(grid_h: float) -> int:
+    """The integer f with grid_h = 1/f, for f in GRID_FACTORS."""
+    f = round(1.0 / grid_h) if grid_h >= 1.0 / (GRID_FACTORS[-1] + 1) else 0
+    if f not in GRID_FACTORS or abs(grid_h * f - 1.0) > 1e-9:
+        accepted = ", ".join(f"1/{k}" for k in GRID_FACTORS)
+        raise ConfigError(
+            f"--grid-h {grid_h!r} is not supported; use one of {accepted} "
+            "(the grid steps the rasterizer is verified on)"
+        )
+    return f
+
+
+def _suite_members(names):
+    """The standard suite members named by a config, in suite order."""
+    return [m for m in standard_suite() if names == "all" or m.name in names]
+
+
 # ---------------------------------------------------------------------------
 # config and report records
 # ---------------------------------------------------------------------------
@@ -89,6 +111,14 @@ class ExperimentConfig:
                 f"unknown keys {sorted(unknown)} for scenario {self.scenario!r}; "
                 f"allowed: {sorted(allowed)}"
             )
+        members = self.params.get("members", "all")
+        if members != "all":
+            known = [m.name for m in standard_suite()]
+            if not isinstance(members, list) or not members or not all(m in known for m in members):
+                raise ConfigError(
+                    f"members must be \"all\" or a non-empty list of suite members, "
+                    f"got {members!r}; known members: {known}"
+                )
 
     def resolved_params(self) -> dict:
         out = dict(SCENARIOS[self.scenario].defaults)
@@ -198,10 +228,7 @@ def _run_dichotomy(params: dict, seed: int):
 def _run_kakeya(params: dict, seed: int):
     deltas = [float(d) for d in params["deltas"]]
     factor = int(params["grid_factor"])
-    names = params["members"]
-    members = standard_suite() if names == "all" else [
-        m for m in standard_suite() if m.name in names
-    ]
+    members = _suite_members(params["members"])
     values = {}
     constants = {}
     checks = []
@@ -234,10 +261,7 @@ def _run_split_constants(params: dict, fn, label: str):
     deltas = [float(d) for d in params["deltas"]]
     rho = float(params["rho"])
     factor = int(params["grid_factor"])
-    names = params["members"]
-    members = standard_suite() if names == "all" else [
-        m for m in standard_suite() if m.name in names
-    ]
+    members = _suite_members(params["members"])
     values = {}
     constants = {}
     checks = []
@@ -590,9 +614,9 @@ def _run_one(args_tuple):
     cfg = ExperimentConfig.from_dict(cfg_dict)
     if overrides.get("seed") is not None:
         cfg = ExperimentConfig(cfg.name, cfg.scenario, int(overrides["seed"]), cfg.params)
-    if overrides.get("grid_h") is not None and "grid_factor" in SCENARIOS[cfg.scenario].defaults:
+    if overrides.get("grid_factor") is not None and "grid_factor" in SCENARIOS[cfg.scenario].defaults:
         params = dict(cfg.params)
-        params["grid_factor"] = max(int(round(1.0 / float(overrides["grid_h"]))), 2)
+        params["grid_factor"] = overrides["grid_factor"]
         cfg = ExperimentConfig(cfg.name, cfg.scenario, cfg.seed, params)
     rep = run_scenario(cfg)
     return rep.to_json()
@@ -613,7 +637,8 @@ def main(argv=None) -> int:
         "--grid-h",
         type=float,
         default=None,
-        help="override the grid step as a fraction of delta (e.g. 0.125 for h = delta/8)",
+        help="override the grid step as a fraction of delta: 1/f for an integer f "
+        "from 2 to 8 (e.g. 0.125 for h = delta/8)",
     )
     p_run.add_argument("--parallel", action="store_true", help="run scenarios in processes")
 
@@ -639,10 +664,11 @@ def main(argv=None) -> int:
     if args.command == "run":
         try:
             configs = _load_config_file(args.config)
+            factor = None if args.grid_h is None else _grid_factor(args.grid_h)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        overrides = {"seed": args.seed, "grid_h": args.grid_h}
+        overrides = {"seed": args.seed, "grid_factor": factor}
         reports: list[ExperimentReport] = []
         if args.parallel and len(configs) > 1:
             from concurrent.futures import ProcessPoolExecutor

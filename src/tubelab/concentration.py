@@ -5,12 +5,14 @@ space: at most (r/delta)^(2(d-1)+beta).  "The line lies in the ball" is read
 as metric membership d(line, center) <= r, which is the formal meaning of
 containment for a point of line space.
 
-Net balls are centered on a product lattice: per radius r, directions from a
-ring-lattice cover at angular resolution r/4 and foot points on an
-(r/2)-grid of each direction's orthogonal hyperplane.  Any line meeting the
-unit ball is then within r of some center.  Only centers near the query
-lines are ever materialized; balls away from every line are empty and
-cannot attain the maximum of any scan.
+Net balls are centered on a product lattice: per radius r, directions from
+the ring-lattice `linegeom.SphereNet` at angular resolution r/4 and foot
+points on an (r/2)-grid of each direction's orthogonal hyperplane.  Any line
+meeting the unit ball is then within r of some center.  Only centers near
+the query lines are ever materialized; balls away from every line are empty
+and cannot attain the maximum of any scan.  Every membership test, in scans
+and in incremental counts alike, compares the same array distances with
+r + 1e-12.
 """
 
 from __future__ import annotations
@@ -21,10 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TOL
-from .linegeom import Direction, GeometryError, Line, complete_orthonormal, line_metric
-
-_RING_SPACING = 0.7  # polar ring spacing as a fraction of the target angle
-_RING_RES = 0.6  # in-ring resolution as a fraction of the target angle
+from .linegeom import Direction, GeometryError, Line, SphereNet
 
 
 class ThinningError(RuntimeError):
@@ -88,116 +87,6 @@ def _pair_distances(feet_a, dirs_a, feet_b, dirs_b) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# ring-lattice direction net with windowed neighbor queries
-# ---------------------------------------------------------------------------
-
-
-class _DirectionNet:
-    """Oriented ring-lattice net on S^(n-1) at angular resolution alpha.
-
-    Supports windowed queries for the centers within a given unoriented
-    angle of a query vector (closed form for n = 2, 3; brute force above).
-    """
-
-    def __init__(self, n: int, alpha: float):
-        self.n = n
-        self.alpha = float(alpha)
-        if n == 2:
-            m = max(int(math.ceil(math.pi / alpha)), 1)
-            self.count = m
-            self.spacing = 2.0 * math.pi / m
-            phis = (np.arange(m) + 0.5) * self.spacing
-            self.matrix = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-        elif n == 3:
-            d_theta = _RING_SPACING * alpha
-            K = max(int(math.ceil(math.pi / d_theta)), 1)
-            self.ring_theta = (np.arange(K) + 0.5) * math.pi / K
-            counts = []
-            for th in self.ring_theta:
-                s = math.sin(th)
-                if math.pi * s <= _RING_RES * alpha:
-                    counts.append(1)
-                else:
-                    counts.append(max(int(math.ceil(math.pi * s / (_RING_RES * alpha))), 1))
-            self.ring_count = np.array(counts, dtype=np.int64)
-            self.ring_offset = np.concatenate([[0], np.cumsum(self.ring_count)])
-            self.count = int(self.ring_offset[-1])
-            rows = np.empty((self.count, 3))
-            for k, th in enumerate(self.ring_theta):
-                mk = int(self.ring_count[k])
-                phis = (np.arange(mk) + 0.5) * (2.0 * math.pi / mk)
-                o = int(self.ring_offset[k])
-                rows[o : o + mk, 0] = math.sin(th) * np.cos(phis)
-                rows[o : o + mk, 1] = math.sin(th) * np.sin(phis)
-                rows[o : o + mk, 2] = math.cos(th)
-            self.matrix = rows
-        else:
-            from .linegeom import _sphere_net
-
-            self.matrix = _sphere_net(n, alpha)
-            self.count = self.matrix.shape[0]
-            if self.count > 2_000_000:
-                raise MemoryError("direction net too large at this resolution")
-
-    def within(self, u: np.ndarray, angle: float) -> np.ndarray:
-        """Indices of centers whose unoriented angle to u is <= angle."""
-        angle = min(angle, math.pi / 2.0)
-        cos_bound = math.cos(min(angle + 1e-12, math.pi / 2.0))
-        if self.n == 2:
-            phi = math.atan2(u[1], u[0])
-            idx = []
-            for target in (phi, phi + math.pi):
-                lo = int(math.ceil((target - angle) / self.spacing - 0.5 - 1e-9))
-                hi = int(math.floor((target + angle) / self.spacing - 0.5 + 1e-9))
-                idx.extend(range(lo, hi + 1))
-            cand = np.unique(np.mod(np.array(idx, dtype=np.int64), self.count))
-        elif self.n == 3:
-            theta_u = math.acos(max(-1.0, min(1.0, float(u[2]))))
-            phi_u = math.atan2(float(u[1]), float(u[0]))
-            half_ring = 0.5 * math.pi / len(self.ring_theta)
-            cand_list = []
-            for target_theta, target_phi in (
-                (theta_u, phi_u),
-                (math.pi - theta_u, phi_u + math.pi),
-            ):
-                kmask = np.abs(self.ring_theta - target_theta) <= angle + half_ring + 1e-9
-                for k in np.nonzero(kmask)[0]:
-                    mk = int(self.ring_count[k])
-                    o = int(self.ring_offset[k])
-                    if mk <= 8:
-                        cand_list.append(np.arange(o, o + mk))
-                        continue
-                    st, su = math.sin(self.ring_theta[k]), math.sin(target_theta)
-                    ct, cu = math.cos(self.ring_theta[k]), math.cos(target_theta)
-                    denom = st * su
-                    if denom <= 1e-12:
-                        cand_list.append(np.arange(o, o + mk))
-                        continue
-                    c = (math.cos(angle) - ct * cu) / denom
-                    if c <= -1.0:
-                        cand_list.append(np.arange(o, o + mk))
-                        continue
-                    if c >= 1.0:
-                        dphi = 0.0
-                    else:
-                        dphi = math.acos(c)
-                    sp = 2.0 * math.pi / mk
-                    lo = int(math.ceil((target_phi - dphi) / sp - 0.5 - 1e-9)) - 1
-                    hi = int(math.floor((target_phi + dphi) / sp - 0.5 + 1e-9)) + 1
-                    cand_list.append(o + np.mod(np.arange(lo, hi + 1, dtype=np.int64), mk))
-            cand = (
-                np.unique(np.concatenate(cand_list)) if cand_list else np.empty(0, np.int64)
-            )
-        else:
-            dots = np.abs(self.matrix @ u)
-            return np.nonzero(dots >= cos_bound)[0]
-        if cand.size == 0:
-            return cand
-        dots = np.abs(self.matrix[cand] @ u)
-        return cand[dots >= cos_bound]
-
-
-# ---------------------------------------------------------------------------
 # ball nets
 # ---------------------------------------------------------------------------
 
@@ -207,7 +96,7 @@ class BallNet:
     """Per-radius nets of balls on line space, materialized near the data.
 
     For each dyadic radius r in [delta, 1], centers are lines with direction
-    from a ring net at angular resolution r/4 and foot on an (r/2)-grid of
+    from a `SphereNet` at angular resolution r/4 and foot on an (r/2)-grid of
     the direction's orthogonal hyperplane.  Every line meeting B(0,1) is
     within r of some center, and no line lies in more than `overlap_bound`
     balls of one radius.
@@ -218,7 +107,6 @@ class BallNet:
     radii: tuple[float, ...]
     overlap_bound: int
     _nets: dict = field(default_factory=dict, repr=False)
-    _bases: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, n: int, delta: float, radii=None) -> "BallNet":
@@ -232,16 +120,13 @@ class BallNet:
         bound = {2: 400, 3: 20000}.get(n, 10 ** (2 * n))
         return cls(n=int(n), delta=float(delta), radii=tuple(radii), overlap_bound=bound)
 
-    def _net(self, r: float) -> _DirectionNet:
+    def _net(self, r: float) -> SphereNet:
         if r not in self._nets:
-            self._nets[r] = _DirectionNet(self.n, r / 4.0)
+            net = SphereNet(self.n, r / 4.0)
+            if self.n >= 4 and len(net) > 2_000_000:
+                raise MemoryError("direction net too large at this resolution")
+            self._nets[r] = net
         return self._nets[r]
-
-    def _basis(self, r: float, w_idx: int) -> np.ndarray:
-        key = (r, w_idx)
-        if key not in self._bases:
-            self._bases[key] = complete_orthonormal(self._net(r).matrix[w_idx][None], self.n)[1:]
-        return self._bases[key]
 
     def candidate_keys(self, r: float, feet: np.ndarray, dirs: np.ndarray) -> dict:
         """All net centers within r of at least one of the given lines.
@@ -258,7 +143,7 @@ class BallNet:
             hit = dir_cache.get(ukey)
             if hit is None:
                 cands = net.within(u, max_angle)
-                wmat = net.matrix[cands]
+                wmat = net.rows[cands]
                 wedges = np.sqrt(
                     np.clip(1.0 - np.clip(np.abs(wmat @ u), 0, 1) ** 2, 0.0, 1.0)
                 )
@@ -271,7 +156,7 @@ class BallNet:
                 budget = r - float(wedge)
                 if budget < -1e-12:
                     continue
-                Q = self._basis(r, int(wi))
+                Q = net.complement(int(wi))
                 y = Q @ x
                 los = np.ceil((y - budget) / g - 1e-9).astype(np.int64)
                 his = np.floor((y + budget) / g + 1e-9).astype(np.int64)
@@ -290,11 +175,25 @@ class BallNet:
                         out[key] = (int(wi), tuple(int(v) for v in j))
         return out
 
-    def center_line(self, r: float, w_idx: int, j: tuple) -> Line:
+    def _centers(self, r: float, pairs) -> tuple[np.ndarray, np.ndarray]:
+        """Foot and direction arrays of the centers named by (w_idx, j) pairs."""
         net = self._net(r)
-        Q = self._basis(r, w_idx)
-        foot = Q.T @ (np.array(j, dtype=float) * (r / 2.0))
-        return Line(Direction(net.matrix[w_idx]), foot)
+        g = r / 2.0
+        feet = np.empty((len(pairs), self.n))
+        for i, (wi, j) in enumerate(pairs):
+            feet[i] = net.complement(wi).T @ (np.asarray(j, dtype=float) * g)
+        return feet, net.rows[np.fromiter((wi for wi, _ in pairs), np.int64, len(pairs))]
+
+    def _distances(self, r: float, line: Line) -> tuple[list, np.ndarray]:
+        """Keys of the candidate centers near one line and the line's distance to each."""
+        feet, dirs = _line_arrays([line])
+        keys = self.candidate_keys(r, feet, dirs)
+        dist = _pair_distances(*self._centers(r, list(keys.values())), feet, dirs)[:, 0]
+        return list(keys), dist
+
+    def center_line(self, r: float, w_idx: int, j: tuple) -> Line:
+        feet, dirs = self._centers(r, [(w_idx, j)])
+        return Line(Direction(dirs[0]), feet[0])
 
     def scan(
         self,
@@ -310,19 +209,12 @@ class BallNet:
         keys = self.candidate_keys(r, feet, dirs)
         if not keys:
             return 0.0, None
-        net = self._net(r)
-        g = r / 2.0
         best, best_key = -1.0, None
         items = list(keys.items())
         chunk = max(1, 4_000_000 // max(len(feet), 1))
         for start in range(0, len(items), chunk):
             part = items[start : start + chunk]
-            centers = np.empty((len(part), self.n))
-            wdirs = np.empty((len(part), self.n))
-            for i, (_, (wi, j)) in enumerate(part):
-                Q = self._basis(r, wi)
-                centers[i] = Q.T @ (np.asarray(j, dtype=float) * g)
-                wdirs[i] = net.matrix[wi]
+            centers, wdirs = self._centers(r, [pair for _, pair in part])
             dist = _pair_distances(centers, wdirs, feet, dirs)
             inside = dist <= r + 1e-12
             vals = (
@@ -338,23 +230,13 @@ class BallNet:
 
     def nearest_center_distance(self, r: float, line: Line) -> float:
         """Distance from a line to its nearest net center at radius r (coverage probe)."""
-        feet, dirs = _line_arrays([line])
-        keys = self.candidate_keys(r, feet, dirs)
-        best = math.inf
-        for _, (wi, j) in keys.items():
-            c = self.center_line(r, wi, j)
-            best = min(best, line_metric(line, c))
-        return best
+        _, dist = self._distances(r, line)
+        return float(dist.min()) if dist.size else math.inf
 
     def balls_containing(self, r: float, line: Line) -> int:
         """Number of net balls of radius r containing the line (overlap probe)."""
-        feet, dirs = _line_arrays([line])
-        keys = self.candidate_keys(r, feet, dirs)
-        count = 0
-        for _, (wi, j) in keys.items():
-            if line_metric(line, self.center_line(r, wi, j)) <= r + 1e-12:
-                count += 1
-        return count
+        _, dist = self._distances(r, line)
+        return int(np.count_nonzero(dist <= r + 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -420,19 +302,12 @@ class IncrementalBallCounter:
         self.s = concentration_exponent(d, beta)
         self.delta = delta
         self.counts: dict[tuple, int] = {}
-        self._center_cache: dict[tuple, Line] = {}
 
     def _containing_keys(self, line: Line) -> list[tuple]:
-        feet, dirs = _line_arrays([line])
         found = []
         for r in self.net.radii:
-            for key, (wi, j) in self.net.candidate_keys(r, feet, dirs).items():
-                c = self._center_cache.get(key)
-                if c is None:
-                    c = self.net.center_line(r, wi, j)
-                    self._center_cache[key] = c
-                if line_metric(line, c) <= r + 1e-12:
-                    found.append(key)
+            keys, dist = self.net._distances(r, line)
+            found += [key for key, inside in zip(keys, dist <= r + 1e-12) if inside]
         return found
 
     def try_add(self, line: Line) -> bool:

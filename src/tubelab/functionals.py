@@ -30,6 +30,7 @@ from .linegeom import (
     Tube,
     build_cap_cover,
     complete_orthonormal,
+    line_of_tube,
     segment_point_distances,
     tuple_wedges,
 )
@@ -132,8 +133,6 @@ class TubeFamily:
         return float(self.volumes().sum())
 
     def lines(self) -> list[Line]:
-        from .linegeom import line_of_tube
-
         return [line_of_tube(t) for t in self.tubes]
 
 

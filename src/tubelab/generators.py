@@ -19,7 +19,7 @@ import numpy as np
 
 from .concentration import BallNet, IncrementalBallCounter
 from .functionals import TubeFamily
-from .linegeom import Direction, GeometryError, Line, Tube, _sphere_net, complete_orthonormal
+from .linegeom import Direction, GeometryError, Line, SphereNet, Tube, complete_orthonormal
 
 #: Transverse span occupied by generated configurations, chosen so that unit
 #: segments stay inside B(0,1).
@@ -105,7 +105,7 @@ def gen_lines_in_planes(
         plane_dirs = np.array([[1.0] + [0.0] * (d - 1)])
     else:
         # ~delta^-(d-1) directions on the plane's sphere, spacing ~ delta.
-        plane_dirs = _sphere_net(d, max(delta * math.pi / 2.0, 1e-6))
+        plane_dirs = SphereNet(d, max(delta * math.pi / 2.0, 1e-6)).rows
         # Unoriented dedupe: keep one of each antipodal pair.
         keep = []
         seen = set()
@@ -153,6 +153,21 @@ class RandomFamilyResult:
     family: TubeFamily
     complete: bool
     draws: int
+
+
+class IncompleteFamilyError(RuntimeError):
+    """A rejection-sampled family stopped short of its target count."""
+
+
+def complete_family(res: RandomFamilyResult, source: str, seed: int) -> TubeFamily:
+    """The sampled family, or IncompleteFamilyError naming `source` if it is partial."""
+    if not res.complete:
+        raise IncompleteFamilyError(
+            f"{source}: random family at delta={res.family.delta}, seed={seed} "
+            f"reached {len(res.family)} tubes after {res.draws} draws, short of "
+            f"its target; no partial family is used"
+        )
+    return res.family
 
 
 def gen_random_nonconcentrated(
@@ -213,7 +228,7 @@ def gen_bush(n: int, delta: float, count: int, center=None) -> TubeFamily:
         alpha /= 2.0
         if alpha < 1e-3:
             raise GeometryError(f"cannot place {count} separated directions in R^{n}")
-        cands = _sphere_net(n, alpha)
+        cands = SphereNet(n, alpha).rows
         chosen = [np.eye(n)[i] for i in range(min(count, n))]
         for u in cands:
             if len(chosen) >= count:
@@ -270,12 +285,14 @@ def generate(spec: GeneratorSpec):
 def family_for_norms(spec: GeneratorSpec) -> TubeFamily:
     """The single family a spec denotes for norm evaluation.
 
-    Axes families are merged into one; random families are unwrapped.
+    Axes families are merged into one; random families are unwrapped and
+    raise IncompleteFamilyError when the sampler stopped short.
     """
     out = generate(spec)
     if spec.kind == "axes":
         tubes = [t for fam in out for t in fam.tubes]
         return TubeFamily(tubes, spec.delta, spec.n, spec.d, spec.beta)
     if spec.kind == "random-nonconcentrated":
-        return out.family
+        source = f"spec {spec.kind} n={spec.n} d={spec.d} beta={spec.beta}"
+        return complete_family(out, source, spec.seed)
     return out

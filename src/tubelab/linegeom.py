@@ -363,33 +363,90 @@ _POLAR_FRACTION = 0.7
 _RING_FRACTION = 0.6
 
 
-def _circle_net(alpha: float) -> np.ndarray:
-    m = max(int(math.ceil(math.pi / alpha)), 1)
-    angles = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
-    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+class SphereNet:
+    """Deterministic ring-lattice covering of S^(dim-1) within geodesic radius alpha.
 
+    For dim = 2 the rows are m = ceil(pi/alpha) unit vectors at the angles
+    (i + 1/2) 2pi/m.  For dim >= 3 they are stored ring by ring: ring k sits
+    at polar angle theta_k = (k + 1/2) pi/K from the last axis, and carries
+    the net of S^(dim-2) at resolution 0.6 alpha/sin(theta_k) scaled by
+    sin(theta_k), or a single row once pi sin(theta_k) <= 0.6 alpha.  Rows of
+    ring k are `rows[ring_offset[k]:ring_offset[k + 1]]`.  Rows are oriented:
+    both u and -u may appear.
+    """
 
-def _sphere_net(dim: int, alpha: float) -> np.ndarray:
-    """Deterministic covering of S^(dim-1) in R^dim within geodesic radius alpha."""
-    if dim == 2:
-        return _circle_net(alpha)
-    d_theta = _POLAR_FRACTION * alpha
-    k_rings = max(int(math.ceil(math.pi / d_theta)), 1)
-    rows = []
-    for k in range(k_rings):
-        theta = (k + 0.5) * math.pi / k_rings
-        s, c = math.sin(theta), math.cos(theta)
-        if math.pi * s <= _RING_FRACTION * alpha:
-            sub = np.zeros((1, dim - 1))
-            sub[0, 0] = 1.0
+    def __init__(self, dim: int, alpha: float):
+        self.dim = int(dim)
+        self._complements: dict[int, np.ndarray] = {}
+        if self.dim == 2:
+            m = max(int(math.ceil(math.pi / alpha)), 1)
+            self.spacing = 2.0 * math.pi / m
+            angles = (np.arange(m) + 0.5) * self.spacing
+            self.rows = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            return
+        k_rings = max(int(math.ceil(math.pi / (_POLAR_FRACTION * alpha))), 1)
+        self.ring_theta = (np.arange(k_rings) + 0.5) * math.pi / k_rings
+        rings = []
+        for theta in self.ring_theta:
+            s, c = math.sin(theta), math.cos(theta)
+            if math.pi * s <= _RING_FRACTION * alpha:
+                sub = np.zeros((1, self.dim - 1))
+                sub[0, 0] = 1.0
+            else:
+                sub = SphereNet(self.dim - 1, _RING_FRACTION * alpha / s).rows
+            ring = np.empty((sub.shape[0], self.dim))
+            ring[:, : self.dim - 1] = s * sub
+            ring[:, self.dim - 1] = c
+            rings.append(ring)
+        self.ring_offset = np.concatenate([[0], np.cumsum([len(r) for r in rings])])
+        self.rows = np.vstack(rings)
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def within(self, u: np.ndarray, angle: float) -> np.ndarray:
+        """Sorted indices of the rows whose unoriented angle to u is <= angle.
+
+        Only a window of candidates is tested with |row . u| >= cos(angle):
+        on the circle the rows whose angle lies within `angle` of u or -u; in
+        higher dimension the rings whose polar angle lies within `angle` of
+        that of u or -u, one contiguous run of rows on each side.
+        """
+        angle = min(angle, math.pi / 2.0)
+        cos_bound = math.cos(min(angle + 1e-12, math.pi / 2.0))
+        if self.dim == 2:
+            m = len(self)
+            phi = math.atan2(u[1], u[0])
+            idx = []
+            for target in (phi, phi + math.pi):
+                lo = int(math.ceil((target - angle) / self.spacing - 0.5 - 1e-9))
+                hi = int(math.floor((target + angle) / self.spacing - 0.5 + 1e-9))
+                idx.extend(range(lo, hi + 1))
+            cand = np.unique(np.mod(np.array(idx, dtype=np.int64), m))
         else:
-            gamma = _RING_FRACTION * alpha / s
-            sub = _sphere_net(dim - 1, gamma)
-        ring = np.empty((sub.shape[0], dim))
-        ring[:, : dim - 1] = s * sub
-        ring[:, dim - 1] = c
-        rows.append(ring)
-    return np.vstack(rows)
+            # The angle between two points is at least the difference of
+            # their polar angles; the slack covers acos roundoff at the poles.
+            theta_u = math.acos(max(-1.0, min(1.0, float(u[-1]))))
+            runs = []
+            for target in sorted((theta_u, math.pi - theta_u)):
+                lo = np.searchsorted(self.ring_theta, target - angle - 1e-6, side="left")
+                hi = np.searchsorted(self.ring_theta, target + angle + 1e-6, side="right")
+                if lo < hi:
+                    runs.append([int(self.ring_offset[lo]), int(self.ring_offset[hi])])
+            if len(runs) == 2 and runs[1][0] <= runs[0][1]:
+                runs = [[runs[0][0], max(runs[0][1], runs[1][1])]]
+            cand = np.concatenate([np.arange(a, b) for a, b in runs] or [np.empty(0, np.int64)])
+        dots = np.abs(self.rows[cand] @ u)
+        return cand[dots >= cos_bound]
+
+    def complement(self, i: int) -> np.ndarray:
+        """Orthonormal basis, shape (dim-1, dim), of the hyperplane orthogonal
+        to row i: the rows after the first of `complete_orthonormal`.  Memoized."""
+        basis = self._complements.get(i)
+        if basis is None:
+            basis = complete_orthonormal(self.rows[i][None], self.dim)[1:]
+            self._complements[i] = basis
+        return basis
 
 
 @dataclass(frozen=True)
@@ -436,9 +493,8 @@ def build_cap_cover(n: int, rho: float) -> CapCover:
         raise GeometryError("cap covers need ambient dimension >= 2")
     if not 0.0 < rho <= 1.0:
         raise GeometryError(f"cap diameter must lie in (0, 1], got {rho}")
-    raw = _sphere_net(n, rho)
     seen: dict[bytes, Direction] = {}
-    for row in raw:
+    for row in SphereNet(n, rho).rows:
         d = Direction(row)
         seen.setdefault(d.u.tobytes(), d)
     return CapCover(rho, list(seen.values()), n)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 # lp_norm_tube_sum stays in this namespace, unused: perfbench/spans.py
-# wraps suites.lp_norm_tube_sum.
+# wraps suites.lp_norm_tube_sum.  IncompleteFamilyError is re-exported for
+# callers that catch it from here.
 from .functionals import (
     FamilyRaster,
     Grid,
@@ -25,11 +26,14 @@ from .functionals import (
     multilinear_kakeya_lhs,
     multilinear_kakeya_rhs,
 )
-from .generators import gen_axes, gen_bush, gen_lines_in_planes, gen_random_nonconcentrated
-
-
-class IncompleteFamilyError(RuntimeError):
-    """A suite member's random family stopped short of its target count."""
+from .generators import (
+    IncompleteFamilyError,
+    complete_family,
+    gen_axes,
+    gen_bush,
+    gen_lines_in_planes,
+    gen_random_nonconcentrated,
+)
 
 
 @dataclass(frozen=True)
@@ -69,13 +73,7 @@ def _bush_member(name: str, n: int, k: int) -> SuiteMember:
 def _random_member(name: str, n: int, d: int, beta: float, k: int, seeds) -> SuiteMember:
     def draw(delta: float, seed: int) -> TubeFamily:
         res = gen_random_nonconcentrated(n, d, beta, delta, seed=seed)
-        if not res.complete:
-            raise IncompleteFamilyError(
-                f"suite member {name}: random family at delta={delta}, seed={seed} "
-                f"reached {len(res.family)} tubes after {res.draws} draws, short of "
-                f"its target; no partial family enters the suite"
-            )
-        return res.family
+        return complete_family(res, f"suite member {name}", seed)
 
     def families(delta: float) -> list[TubeFamily]:
         fams = [draw(delta, s) for s in seeds]

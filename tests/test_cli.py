@@ -41,6 +41,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"name": "x", "scenario": "dichotomy", "extra": 1})
 
+    def test_members_validated(self):
+        ok = ExperimentConfig("x", "kakeya", params={"members": ["axes-n2-k2"]})
+        assert ok.params["members"] == ["axes-n2-k2"]
+        for bad in (["axes-n2-k9", "bush-n7"], "axes-n2-k2", [], ["bush-n2", "nope"]):
+            with pytest.raises(ConfigError, match="known members"):
+                ExperimentConfig("x", "decompose", params={"members": bad})
+
     def test_defaults_resolved(self):
         cfg = ExperimentConfig("x", "dichotomy", params={"trials": 5})
         resolved = cfg.resolved_params()
@@ -132,6 +139,27 @@ class TestMain:
             pa = json.loads((tmp_path / "a" / f"{name}.json").read_text())["payload"]
             pb = json.loads((tmp_path / "b" / f"{name}.json").read_text())["payload"]
             assert json.dumps(pa, sort_keys=True).encode() == json.dumps(pb, sort_keys=True).encode()
+
+    def test_misspelled_members_exit_two(self, tmp_path, capsys):
+        kak = dict(QUICK_KAKEYA, params={"deltas": [0.0625], "members": ["axes-n2k2"]})
+        cfg = self._config_file(tmp_path, [kak])
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "axes-n2k2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid_h", ["0.3", "0.9", "0", "0.0625", "-0.25"])
+    def test_unverified_grid_h_exits_two(self, tmp_path, capsys, grid_h):
+        cfg = self._config_file(tmp_path, [QUICK_KAKEYA])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--grid-h", grid_h]) == 2
+        assert "1/2, 1/3, 1/4, 1/5, 1/6, 1/7, 1/8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_h_sets_grid_factor(self, tmp_path, capsys):
+        cfg = self._config_file(tmp_path, [QUICK_KAKEYA])
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "a"), "--grid-h", "0.125"]) == 0
+        report = json.loads((tmp_path / "a" / "kak.json").read_text())
+        assert report["payload"]["config"]["params"]["grid_factor"] == 8
 
     def test_seed_override(self, tmp_path, capsys):
         cfg = self._config_file(tmp_path, [QUICK_DICHOTOMY])

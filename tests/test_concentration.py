@@ -7,6 +7,7 @@ import pytest
 
 from tubelab.concentration import (
     BallNet,
+    IncrementalBallCounter,
     ThinningError,
     WeightedLineSet,
     ball_condition_worst_ratio,
@@ -68,6 +69,25 @@ class TestBallNet:
                 for r in net.radii:
                     worst = max(worst, net.balls_containing(r, line))
             assert worst <= net.overlap_bound
+
+    def test_membership_matches_line_metric_oracle(self):
+        """The array membership test agrees with line_metric to each center_line."""
+        rng = np.random.default_rng(2)
+        for n in (2, 3):
+            net = BallNet.build(n, 2.0**-4)
+            counter = IncrementalBallCounter(net, 2.0**-4, 1, 1.0)
+            for line in random_lines(rng, 6, n):
+                inside, nearest = [], {}
+                feet, dirs = line.x[None], line.u.u[None]
+                for r in net.radii:
+                    dists = {
+                        key: line_metric(line, net.center_line(r, wi, j))
+                        for key, (wi, j) in net.candidate_keys(r, feet, dirs).items()
+                    }
+                    inside += [key for key, dist in dists.items() if dist <= r + 1e-12]
+                    assert net.balls_containing(r, line) == sum(dist <= r + 1e-12 for dist in dists.values())
+                    assert net.nearest_center_distance(r, line) == pytest.approx(min(dists.values()), abs=1e-12)
+                assert counter._containing_keys(line) == inside
 
 
 class TestWorstRatio:

@@ -68,6 +68,41 @@ class TestRasterization:
             want = set(allc[dist <= delta + 1e-12].tolist())
             assert got == want
 
+    #: Tube radius per dimension; the rasterizer's window scales with r/h, so
+    #: only the grid factor matters, and larger tubes keep n = 4 cheap.
+    BRUTE_DELTA = {2: 1 / 16, 3: 1 / 4, 4: 1 / 2}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_tilted_tubes_match_bruteforce_bounding_box(self, n):
+        """Every grid factor the CLI accepts (2 to 8) rasterizes tilted tubes
+        exactly: the oracle tests the cell centers of the tube's bounding box
+        with point_in_tube.  Factors 10 and finer fail this test."""
+        rng = np.random.default_rng(40 + n)
+        delta = self.BRUTE_DELTA[n]
+        dirs = [np.ones(n) / math.sqrt(n)] + list(rng.normal(size=(2 if n < 4 else 0, n)))
+        for factor in range(2, 9):
+            G = Grid(n, delta / factor, 1.5)
+            for u in dirs:
+                T = Tube(rng.uniform(-0.1, 0.1, size=n), Direction(u), delta)
+                ends = np.stack(T.endpoints)
+                lo = np.floor((ends.min(axis=0) - delta - G.lo) / G.h).astype(int)
+                hi = np.ceil((ends.max(axis=0) + delta - G.lo) / G.h).astype(int)
+                box = np.stack(
+                    np.meshgrid(*[np.arange(a, b + 1) for a, b in zip(lo, hi)], indexing="ij"),
+                    axis=-1,
+                ).reshape(-1, n)
+                linear = np.ravel_multi_index(box.T, (G.m,) * n)
+                centers = G.centers_of_linear(linear)
+                # Cells off the infinite cylinder around the axis cannot be
+                # inside; point_in_tube decides the rest.
+                rel = centers - T.segment_center
+                off_axis = np.linalg.norm(rel - np.outer(rel @ T.direction.u, T.direction.u), axis=1)
+                near = off_axis <= delta + 1e-9
+                want = {
+                    int(c) for c, p in zip(linear[near], centers[near]) if point_in_tube(T, p)
+                }
+                assert set(rasterize_tube(G, T).tolist()) == want, (n, factor, u)
+
     def test_streaming_counts_match_per_tube_counts(self, monkeypatch):
         rng = np.random.default_rng(5)
         F = generic_family(rng, 2, 1 / 16, 12)

@@ -11,6 +11,7 @@ from tubelab.linegeom import (
     Direction,
     GeometryError,
     Line,
+    SphereNet,
     Subspace,
     Tube,
     WEDGE_TUPLE_LIMIT,
@@ -300,6 +301,49 @@ class TestLineOfTube:
         T = Tube(0.3 * u, Direction(u), 0.1)
         l = line_of_tube(T)
         np.testing.assert_allclose(l.x, [0.0, 0.0], atol=1e-12)
+
+
+class TestSphereNet:
+    #: Ball-net radii r per dimension; the net resolution is alpha = r/4.
+    RADII = {2: (2.0**-10, 2.0**-6, 2.0**-3, 1.0), 3: (2.0**-6, 2.0**-4, 2.0**-2, 1.0), 4: (0.25, 0.5, 1.0)}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_within_matches_bruteforce(self, n):
+        rng = np.random.default_rng(n)
+        for r in self.RADII[n]:
+            net = SphereNet(n, r / 4.0)
+            for angle in (math.asin(r) if r < 1.0 else math.pi / 2.0, math.pi / 2.0):
+                cos_bound = math.cos(min(angle + 1e-12, math.pi / 2.0))
+                for u in random_units(rng, 40, n):
+                    want = np.nonzero(np.abs(net.rows @ u) >= cos_bound)[0]
+                    np.testing.assert_array_equal(net.within(u, angle), want)
+
+    def test_within_at_the_poles(self):
+        net = SphereNet(3, 2.0**-6)
+        for u in (np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]), unit([1e-9, 0.0, 1.0])):
+            want = np.nonzero(np.abs(net.rows @ u) >= math.cos(0.05 + 1e-12))[0]
+            np.testing.assert_array_equal(net.within(u, 0.05), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from([1.0, 0.5, 0.2, 0.05]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_unit_vector_within_alpha_of_a_row(self, n, alpha, seed):
+        net = SphereNet(n, alpha)
+        np.testing.assert_allclose(np.linalg.norm(net.rows, axis=1), 1.0, atol=1e-12)
+        u = random_units(np.random.default_rng(seed), 1, n)[0]
+        assert float((net.rows @ u).max()) >= math.cos(alpha)
+
+    def test_complement_is_orthonormal_and_orthogonal(self):
+        net = SphereNet(4, 0.5)
+        for i in (0, len(net) // 2, len(net) - 1):
+            q = net.complement(i)
+            assert q.shape == (3, 4)
+            np.testing.assert_allclose(q @ q.T, np.eye(3), atol=1e-12)
+            np.testing.assert_allclose(q @ net.rows[i], 0.0, atol=1e-12)
+            assert net.complement(i) is q
 
 
 class TestCapCover:

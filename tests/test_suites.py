@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tubelab import suites
-from tubelab.functionals import FamilyRaster, TubeFamily
+from tubelab import generators, suites
+from tubelab.functionals import FamilyRaster, Grid, TubeFamily, decompose_lp, induction_step_terms
 from tubelab.generators import RandomFamilyResult
 from tubelab.linegeom import Direction, Tube
 
@@ -36,3 +38,34 @@ def test_incomplete_random_family_rejected(monkeypatch):
         member.family(2.0**-4)
     with pytest.raises(suites.IncompleteFamilyError, match=pattern):
         member.mk_families(2.0**-4)
+
+
+def test_incomplete_family_error_shared_with_generators():
+    assert suites.IncompleteFamilyError is generators.IncompleteFamilyError
+
+
+def _split_terms(F: TubeFamily, k: int) -> tuple[float, ...]:
+    raster = FamilyRaster.build(F, Grid.for_family(F, factor=4))
+    rho = suites.DECOMPOSE_RHO
+    return decompose_lp(raster, rho, k, F.p) + induction_step_terms(raster, rho)
+
+
+_PERMUTED = {}
+
+
+def _member_terms(name: str):
+    if name not in _PERMUTED:
+        member = suites.suite_member(name)
+        F = member.family(2.0**-4)
+        _PERMUTED[name] = (F, member.k, _split_terms(F, member.k))
+    return _PERMUTED[name]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["axes-n2-k2", "random-n2-d1"]), st.randoms(use_true_random=False))
+def test_split_terms_invariant_under_permuting_tubes(name, rnd):
+    F, k, want = _member_terms(name)
+    tubes = list(F.tubes)
+    rnd.shuffle(tubes)
+    got = _split_terms(TubeFamily(tubes, F.delta, F.n, F.d, F.beta), k)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
