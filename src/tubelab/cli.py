@@ -65,21 +65,33 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-#: Grid factors 1/h (h as a fraction of delta) on which `rasterize_tube` is
-#: checked against a brute-force raster; finer grids lose cells.
+#: Grid factors delta/h that a run accepts: the steps the gates and goldens
+#: are run at.
 GRID_FACTORS = range(2, 9)
+
+
+def _check_grid_factor(factor, source: str) -> int:
+    """`factor` as an int if it is one of GRID_FACTORS; a ConfigError naming
+    `source` and the accepted factors otherwise."""
+    if (
+        isinstance(factor, bool)
+        or not isinstance(factor, (int, float))
+        or not float(factor).is_integer()
+        or int(factor) not in GRID_FACTORS
+    ):
+        factors = ", ".join(str(k) for k in GRID_FACTORS)
+        steps = ", ".join(f"1/{k}" for k in GRID_FACTORS)
+        raise ConfigError(
+            f"{source} is not supported; the grid factor delta/h must be one of "
+            f"{factors} (grid steps {steps} of delta), the steps the gates and goldens are run at"
+        )
+    return int(factor)
 
 
 def _grid_factor(grid_h: float) -> int:
     """The integer f with grid_h = 1/f, for f in GRID_FACTORS."""
     f = round(1.0 / grid_h) if grid_h >= 1.0 / (GRID_FACTORS[-1] + 1) else 0
-    if f not in GRID_FACTORS or abs(grid_h * f - 1.0) > 1e-9:
-        accepted = ", ".join(f"1/{k}" for k in GRID_FACTORS)
-        raise ConfigError(
-            f"--grid-h {grid_h!r} is not supported; use one of {accepted} "
-            "(the grid steps the rasterizer is verified on)"
-        )
-    return f
+    return _check_grid_factor(f if abs(grid_h * f - 1.0) <= 1e-9 else 0, f"--grid-h {grid_h!r}")
 
 
 def _suite_members(names):
@@ -111,6 +123,9 @@ class ExperimentConfig:
                 f"unknown keys {sorted(unknown)} for scenario {self.scenario!r}; "
                 f"allowed: {sorted(allowed)}"
             )
+        if "grid_factor" in self.params:
+            factor = self.params["grid_factor"]
+            _check_grid_factor(factor, f"grid_factor {factor!r}")
         members = self.params.get("members", "all")
         if members != "all":
             known = [m.name for m in standard_suite()]

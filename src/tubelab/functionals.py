@@ -6,14 +6,17 @@ belongs to a tube exactly when its center does.  Indicator integrands make
 higher-order quadrature pointless, and the midpoint rule is unbiased on
 unions of slabs.
 
-A family is rasterized once per grid into a `FamilyRaster`: per-tube cell
-lists for small families, a streamed dense count field for large ones.  The
-raster carries its family and is passed to every evaluation on that grid, so
-norms, cap and coarse-tube groupings and multilinear sums share one
-rasterization.  Multilinear sums look up, per cell, only the tubes containing
-that cell and sum the wedge volumes of their tuples from one table computed
-by `linegeom.tuple_wedges`, never materializing the k-fold product over
-cells.
+A tube is rasterized by a scanline over its capsule (`rasterize_tube`): rows
+of cells along the axis closest to the tube's direction, one closed-form
+interval of candidates per row, and the exact distance test to the core
+segment as the only membership decision.  A family is rasterized once per
+grid into a `FamilyRaster`: per-tube cell lists for small families, a
+streamed dense count field for large ones.  The raster carries its family
+and is passed to every evaluation on that grid, so norms, cap and
+coarse-tube groupings and multilinear sums share one rasterization.
+Multilinear sums look up, per cell, only the tubes containing that cell and
+sum the wedge volumes of their tuples from one table computed by
+`linegeom.tuple_wedges`, never materializing the k-fold product over cells.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ COARSE_LENGTH = 3.0
 #: Families with more tubes than this are rasterized into a dense count
 #: field without per-tube cell lists (norms only).
 PER_TUBE_LIMIT = 4000
+
+#: Largest dense count field, in bytes (8 per grid cell), that
+#: `FamilyRaster.build` allocates.
+DENSE_BYTES_LIMIT = 2**30
 
 _ENTRY_CHUNK = 20_000_000
 
@@ -193,47 +200,125 @@ class Grid:
 
 
 def rasterize_tube(grid: Grid, tube: Tube) -> np.ndarray:
-    """Linear indices of the grid cells whose center lies inside the tube."""
-    n, h, lo, m = grid.n, grid.h, grid.lo, grid.m
-    c = tube.segment_center
-    u = tube.direction.u
-    r, L = tube.radius, tube.length
-    axis = int(np.argmax(np.abs(u)))
-    ua = float(u[axis])
+    """Sorted linear indices of the grid cells whose center lies inside the tube.
 
-    span = abs(ua) * L / 2.0 + r
-    i0 = max(int(math.floor((c[axis] - span - lo) / h)), 0)
-    i1 = min(int(math.floor((c[axis] + span - lo) / h)), m - 1)
-    if i1 < i0:
-        return np.empty(0, dtype=np.int64)
-    slabs = np.arange(i0, i1 + 1)
-    xs = lo + (slabs + 0.5) * h
-    t = np.clip((xs - c[axis]) / ua, -L / 2.0, L / 2.0)
-    pts = c[None, :] + t[:, None] * u[None, :]
+    The candidates come from `_scan_cells`, a scanline over the capsule:
+    rows of cells along the axis closest to the tube's direction, one
+    closed-form interval per row, padded by one cell.  The exact test
+    `segment_point_distances(...) <= r + 1e-12` alone decides which
+    candidates are kept.  The candidates include every cell of the tube at
+    any grid step and are unique by construction, so the cells come out
+    complete and without repeats.
+    """
+    lo, h, m = grid.lo, grid.h, grid.m
+    c, u, r = tube.segment_center, tube.direction.u, tube.radius
+    multi = _scan_cells(m, (c - lo) / h, u, tube.length / (2.0 * h), (r + _SCAN_SLACK) / h)
+    keep = segment_point_distances(lo + (multi + 0.5) * h, c, u, tube.length) <= r + 1e-12
+    linear = multi[keep] @ (m ** np.arange(grid.n - 1, -1, -1))
+    linear.sort()
+    return linear
 
-    others = [ax for ax in range(n) if ax != axis]
-    w = int(math.ceil(r / h + math.sqrt(n) + 1.0))
-    offs1d = np.arange(-w, w + 1)
-    if others:
-        mesh = np.meshgrid(*([offs1d] * len(others)), indexing="ij")
-        offs = np.stack([g.ravel() for g in mesh], axis=1)
-    else:
-        offs = np.zeros((1, 0), dtype=np.int64)
 
-    base = np.floor((pts[:, others] - lo) / h).astype(np.int64)  # (S, n-1)
-    cand_other = base[:, None, :] + offs[None, :, :]  # (S, B, n-1)
-    S, B = cand_other.shape[0], cand_other.shape[1]
-    multi = np.empty((S, B, n), dtype=np.int64)
-    multi[:, :, axis] = slabs[:, None]
-    for j, ax in enumerate(others):
-        multi[:, :, ax] = cand_other[:, :, j]
-    multi = multi.reshape(-1, n)
-    ok = np.all((multi >= 0) & (multi < m), axis=1)
-    multi = multi[ok]
-    linear = np.unique(np.ravel_multi_index(multi.T, (m,) * n))
-    centers = grid.centers_of_linear(linear)
-    dist = segment_point_distances(centers, c, u, L)
-    return linear[dist <= r + 1e-12]
+#: Radius slack of the scanline, so that roundoff in its closed forms never
+#: loses a cell that the final distance test keeps.
+_SCAN_SLACK = 1e-9
+
+#: Below this tilt off the scan axis the cylinder chord is taken to span the
+#: whole slab (the axis-parallel branch); the closed form divides by the tilt.
+_MIN_TILT = 1e-6
+
+
+def _scan_cells(m: int, c: np.ndarray, u: np.ndarray, half: float, r: float) -> np.ndarray:
+    """Candidate cells, as multi-indices (k, d), of the capsule of radius r
+    around the segment c +- half u, in grid units: cell i has its center at
+    i + 1/2 on each axis, and 0 <= i < m.
+
+    A scanline, the scanline form of Amanatides & Woo, "A Fast Voxel
+    Traversal Algorithm for Ray Tracing" (Eurographics 1987).  The scan axis
+    a is the largest component of u.  The rows are the cell rows over the
+    other d-1 axes that hold the capsule's shadow, its projection along axis
+    a: a (d-1)-dimensional capsule with the projected segment and the same
+    radius, whose candidates this function finds the same way.  A capsule is
+    convex, so each row meets it in one interval: the hull of the two
+    end-ball chords and of the infinite-cylinder chord clipped to the slab
+    |axial coordinate| <= half, each solved in closed form.  Every interval
+    is padded by one cell, so the candidates hold every cell whose center
+    lies within r.
+    """
+    d = c.size
+    if d == 1:
+        reach = half * abs(float(u[0])) + r
+        first = max(math.ceil(c[0] - reach - 1.5), 0)
+        return np.arange(first, min(math.floor(c[0] + reach + 0.5), m - 1) + 1)[:, None]
+    a = int(np.argmax(np.abs(u)))
+    others = [ax for ax in range(d) if ax != a]
+    # Orient u so that u_a > 0 (a capsule is symmetric under u -> -u) and
+    # renormalize, so that u_a^2 + tilt^2 = 1 holds to roundoff.
+    v = u * ((1.0 if u[a] > 0 else -1.0) / math.sqrt(float(u @ u)))
+    ua, uo = float(v[a]), v[others]
+    tilt2 = float(uo @ uo)
+    tilt = math.sqrt(tilt2)
+    shadow_u = uo / tilt if tilt > 0 else np.eye(d - 1)[0]
+    rows = _scan_cells(m, c[others], shadow_u, half * tilt, r)
+    # Offsets w of the row centers from c.  Along a row, s = x_a - c_a, and
+    # the axial coordinate of a point is s u_a + b.
+    w = rows + (0.5 - c[others])
+    b = w @ uo
+    ww = np.einsum("ij,ij->i", w, w)
+    r2 = r * r
+    end2 = ww + (half * tilt) ** 2
+    with np.errstate(invalid="ignore"):
+        # End-ball chords around s = -+ half u_a; NaN where the row misses.
+        q_lo = np.sqrt(r2 - (end2 + 2.0 * half * b))
+        q_hi = np.sqrt(r2 - (end2 - 2.0 * half * b))
+        # Infinite-cylinder chord, clipped to the slab |s u_a + b| <= half.
+        bu = b / ua
+        slab_lo, slab_hi = -half / ua - bu, half / ua - bu
+        if tilt > _MIN_TILT:
+            mid = bu * (ua * ua / tilt2)
+            hw = np.sqrt(r2 - ww + b * b / tilt2) / tilt
+            cyl_lo, cyl_hi = np.maximum(mid - hw, slab_lo), np.minimum(mid + hw, slab_hi)
+            cyl = cyl_lo <= cyl_hi
+        else:
+            # Axis-parallel branch: the chord spans the slab whenever the row
+            # passes within r of the axis somewhere along the segment.
+            cyl_lo, cyl_hi = slab_lo, slab_hi
+            cyl = ww <= (r + half * tilt) ** 2
+        s_lo = np.fmin(np.fmin(-half * ua - q_lo, half * ua - q_hi), np.where(cyl, cyl_lo, np.nan))
+        s_hi = np.fmax(np.fmax(-half * ua + q_lo, half * ua + q_hi), np.where(cyl, cyl_hi, np.nan))
+        # Cells whose centers lie in [c_a + s_lo, c_a + s_hi], padded by one
+        # cell; rows that miss the capsule carry NaN and get no candidates.
+        first = np.maximum(np.ceil(s_lo + (c[a] - 1.5)), 0.0)
+        last = np.minimum(np.floor(s_hi + (c[a] + 0.5)), m - 1.0)
+        hit = last >= first
+    counts = np.where(hit, last - first + 1.0, 0.0).astype(np.int64)
+    row_of = np.repeat(np.arange(rows.shape[0]), counts)
+    multi = np.empty((row_of.size, d), dtype=np.int64)
+    multi[:, others] = rows[row_of]
+    start = np.where(hit, first, 0.0).astype(np.int64) - (np.cumsum(counts) - counts)
+    multi[:, a] = start[row_of] + np.arange(row_of.size)
+    return multi
+
+
+def _check_dense_size(F: TubeFamily, grid: Grid) -> None:
+    """Raise MemoryError, naming the largest grid factor that fits, when the
+    dense count field of `grid` exceeds DENSE_BYTES_LIMIT."""
+    need, limit = grid.total_cells * 8, DENSE_BYTES_LIMIT
+    if need <= limit:
+        return
+    factor = math.floor(F.delta / grid.h + 1e-9)
+    while factor >= 1 and Grid(grid.n, F.delta / factor, grid.extent).total_cells * 8 > limit:
+        factor -= 1
+    hint = (
+        f"the largest grid factor that fits is {factor} (h = delta/{factor})"
+        if factor >= 2
+        else "no grid with h <= delta/2 fits"
+    )
+    raise MemoryError(
+        f"dense count field of {grid.m}^{grid.n} cells (h = {grid.h:g}, delta = {F.delta:g}) "
+        f"needs {need / 2**20:.0f} MiB, above DENSE_BYTES_LIMIT = {limit / 2**20:.0f} MiB; "
+        + hint
+    )
 
 
 @dataclass
@@ -261,6 +346,7 @@ class FamilyRaster:
             concat = np.concatenate(cells) if cells else np.empty(0, dtype=np.int64)
             occ, counts = np.unique(concat, return_counts=True)
             return cls(F, grid, occ, counts, int(concat.size), cells)
+        _check_dense_size(F, grid)
         dense = np.zeros(grid.total_cells, dtype=np.int64)
         chunk: list[np.ndarray] = []
         size = 0

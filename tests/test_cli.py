@@ -48,6 +48,11 @@ class TestConfig:
             with pytest.raises(ConfigError, match="known members"):
                 ExperimentConfig("x", "decompose", params={"members": bad})
 
+    @pytest.mark.parametrize("factor", [16, 0, 1, 4.5, "4", True])
+    def test_grid_factor_validated(self, factor):
+        with pytest.raises(ConfigError, match="2, 3, 4, 5, 6, 7, 8"):
+            ExperimentConfig("x", "sharpness", params={"grid_factor": factor})
+
     def test_defaults_resolved(self):
         cfg = ExperimentConfig("x", "dichotomy", params={"trials": 5})
         resolved = cfg.resolved_params()
@@ -153,6 +158,16 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--grid-h", grid_h]) == 2
         assert "1/2, 1/3, 1/4, 1/5, 1/6, 1/7, 1/8" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("factor", [16, 0, 1, 4.5])
+    def test_unsupported_grid_factor_exits_two(self, tmp_path, capsys, factor):
+        kak = dict(QUICK_KAKEYA, params=dict(QUICK_KAKEYA["params"], grid_factor=factor))
+        cfg = self._config_file(tmp_path, [kak])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"grid_factor {factor!r}" in err and "2, 3, 4, 5, 6, 7, 8" in err
         assert not out.exists()
 
     def test_grid_h_sets_grid_factor(self, tmp_path, capsys):

@@ -68,40 +68,55 @@ class TestRasterization:
             want = set(allc[dist <= delta + 1e-12].tolist())
             assert got == want
 
-    #: Tube radius per dimension; the rasterizer's window scales with r/h, so
-    #: only the grid factor matters, and larger tubes keep n = 4 cheap.
-    BRUTE_DELTA = {2: 1 / 16, 3: 1 / 4, 4: 1 / 2}
+    #: Tube radius per dimension; only the grid factor delta/h matters to the
+    #: rasterizer, and larger tubes keep the fine grids cheap.
+    BRUTE_DELTA = {2: 1 / 16, 3: 1 / 2, 4: 1 / 2}
+    BRUTE_FACTORS = {
+        2: [*range(2, 9), 10, 12, 16, 32],
+        3: [*range(2, 9), 10, 12, 16, 32],
+        4: [*range(2, 9), 10, 12],
+    }
+
+    @staticmethod
+    def bruteforce_raster(G, T, chunk=1 << 18):
+        """Sorted linear indices of the cells of the tube's bounding box whose
+        center is within T.radius of the core segment (point_in_tube's test)."""
+        ends = np.stack(T.endpoints)
+        lo = np.maximum(np.floor((ends.min(axis=0) - T.radius - G.lo) / G.h).astype(int), 0)
+        hi = np.minimum(np.ceil((ends.max(axis=0) + T.radius - G.lo) / G.h).astype(int), G.m - 1)
+        shape = tuple(hi - lo + 1)
+        size = math.prod(shape)
+        u = T.direction.u
+        found = []
+        for start in range(0, size, chunk):
+            flat = np.arange(start, min(start + chunk, size))
+            multi = np.stack(np.unravel_index(flat, shape), axis=1) + lo
+            rel = G.lo + (multi + 0.5) * G.h - T.segment_center
+            t = np.clip(rel @ u, -T.length / 2, T.length / 2)
+            inside = np.linalg.norm(rel - np.outer(t, u), axis=1) <= T.radius
+            found.append(np.ravel_multi_index(multi[inside].T, (G.m,) * G.n))
+        return np.sort(np.concatenate(found))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_tilted_tubes_match_bruteforce_bounding_box(self, n):
-        """Every grid factor the CLI accepts (2 to 8) rasterizes tilted tubes
-        exactly: the oracle tests the cell centers of the tube's bounding box
-        with point_in_tube.  Factors 10 and finer fail this test."""
+        """rasterize_tube returns exactly the brute-force cell set of every
+        cell center in the tube's bounding box, at grid factors 2 to 8 and 10
+        to 32 (to 12 for n = 4), for diagonal, random, axis-parallel and
+        near-axis directions.  A rasterizer that searches a fixed transverse
+        window of r/h + sqrt(n) + 1 cells per slab loses cells here from
+        factor 10 on in every dimension."""
         rng = np.random.default_rng(40 + n)
         delta = self.BRUTE_DELTA[n]
-        dirs = [np.ones(n) / math.sqrt(n)] + list(rng.normal(size=(2 if n < 4 else 0, n)))
-        for factor in range(2, 9):
+        e = np.eye(n)
+        dirs = [np.ones(n), e[0], e[0] + 1e-3 * e[1]]
+        dirs += list(rng.normal(size=(2 if n < 4 else 0, n)))
+        for factor in self.BRUTE_FACTORS[n]:
             G = Grid(n, delta / factor, 1.5)
             for u in dirs:
                 T = Tube(rng.uniform(-0.1, 0.1, size=n), Direction(u), delta)
-                ends = np.stack(T.endpoints)
-                lo = np.floor((ends.min(axis=0) - delta - G.lo) / G.h).astype(int)
-                hi = np.ceil((ends.max(axis=0) + delta - G.lo) / G.h).astype(int)
-                box = np.stack(
-                    np.meshgrid(*[np.arange(a, b + 1) for a, b in zip(lo, hi)], indexing="ij"),
-                    axis=-1,
-                ).reshape(-1, n)
-                linear = np.ravel_multi_index(box.T, (G.m,) * n)
-                centers = G.centers_of_linear(linear)
-                # Cells off the infinite cylinder around the axis cannot be
-                # inside; point_in_tube decides the rest.
-                rel = centers - T.segment_center
-                off_axis = np.linalg.norm(rel - np.outer(rel @ T.direction.u, T.direction.u), axis=1)
-                near = off_axis <= delta + 1e-9
-                want = {
-                    int(c) for c, p in zip(linear[near], centers[near]) if point_in_tube(T, p)
-                }
-                assert set(rasterize_tube(G, T).tolist()) == want, (n, factor, u)
+                np.testing.assert_array_equal(
+                    rasterize_tube(G, T), self.bruteforce_raster(G, T), err_msg=f"{n}, {factor}, {u}"
+                )
 
     def test_streaming_counts_match_per_tube_counts(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -114,6 +129,19 @@ class TestRasterization:
         np.testing.assert_array_equal(small.occ, big.occ)
         np.testing.assert_array_equal(small.counts, big.counts)
         assert small.entries == big.entries
+
+    def test_dense_field_over_limit_names_largest_factor(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        F = generic_family(rng, 2, 1 / 16, 3)
+        monkeypatch.setattr(functionals, "PER_TUBE_LIMIT", 1)
+        G8 = Grid.for_family(F, 8)
+        monkeypatch.setattr(functionals, "DENSE_BYTES_LIMIT", Grid.for_family(F, 5).total_cells * 8)
+        with pytest.raises(MemoryError, match=rf"{G8.m}\^2 cells.*largest grid factor that fits is 5"):
+            FamilyRaster.build(F, G8)
+        assert FamilyRaster.build(F, Grid.for_family(F, 5)).tube_cells is None
+        monkeypatch.setattr(functionals, "DENSE_BYTES_LIMIT", 8)
+        with pytest.raises(MemoryError, match="no grid with h <= delta/2 fits"):
+            FamilyRaster.build(F, Grid.for_family(F, 2))
 
 
 class TestLpNorm:
