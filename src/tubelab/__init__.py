@@ -29,17 +29,12 @@ from .linegeom import (
 from .concentration import (
     BallNet,
     ThinningError,
-    WeightedLineSet,
     ball_condition_worst_ratio,
-    dyadic_pigeonhole,
-    frostman_constant,
     random_thin,
-    separated_subset,
 )
 from .dichotomy import (
     DichotomyResult,
     DirectionMultiset,
-    cap_partition_counts,
     control_card_ratio,
     count_spread_tuples,
     decide_dichotomy,
@@ -97,21 +92,17 @@ __all__ = [
     "Tube",
     "TubeFamily",
     "UnderResolvedGridError",
-    "WeightedLineSet",
     "ball_condition_worst_ratio",
     "box_counting_dim",
     "build_E_delta",
     "build_cap_cover",
     "calculation_chain",
-    "cap_partition_counts",
     "coarsen_to_rho_tubes",
     "control_card_ratio",
     "count_spread_tuples",
     "decide_dichotomy",
     "decompose_lp",
-    "dyadic_pigeonhole",
     "exponent_fit_norms",
-    "frostman_constant",
     "gen_axes",
     "gen_bush",
     "gen_lines_in_planes",
@@ -127,7 +118,6 @@ __all__ = [
     "point_in_tube",
     "random_thin",
     "rescale_into_ball",
-    "separated_subset",
     "subspace_wedge",
     "unit_ball_volume",
     "verify_option_a",

@@ -652,8 +652,9 @@ def main(argv=None) -> int:
         "--grid-h",
         type=float,
         default=None,
-        help="override the grid step as a fraction of delta: 1/f for an integer f "
-        "from 2 to 8 (e.g. 0.125 for h = delta/8)",
+        help="override the grid step of kakeya, decompose, induction and sharpness as a "
+        "fraction of delta: 1/f for an integer f from 2 to 8 (e.g. 0.125 for h = delta/8); "
+        "dimension always runs at delta/4 and the Loomis-Whitney check at delta/8",
     )
     p_run.add_argument("--parallel", action="store_true", help="run scenarios in processes")
 

@@ -1,4 +1,4 @@
-"""Non-concentration on line space: ball nets, Frostman constants, thinning.
+"""Non-concentration on line space: ball nets, ball-condition scans, thinning.
 
 The ball condition caps how many tube axes may cluster in any r-ball of line
 space: at most (r/delta)^(2(d-1)+beta).  "The line lies in the ball" is read
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TOL
 from .linegeom import Direction, GeometryError, Line, SphereNet
 
 
@@ -32,39 +31,6 @@ class ThinningError(RuntimeError):
     def __init__(self, message: str, worst_ball=None):
         super().__init__(message)
         self.worst_ball = worst_ball
-
-
-@dataclass
-class WeightedLineSet:
-    """Finitely many lines with probability weights and recorded constants."""
-
-    lines: list[Line]
-    weights: np.ndarray
-    d: int
-    beta: float
-    eps: float = 0.0
-    C0: float | None = None
-
-    def __init__(self, lines, weights, d: int, beta: float, eps: float = 0.0, C0=None):
-        lines = list(lines)
-        w = np.asarray(weights, dtype=float)
-        if len(lines) != w.shape[0] or len(lines) == 0:
-            raise GeometryError("need one weight per line and at least one line")
-        if np.any(w < 0):
-            raise GeometryError("weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > TOL.weight_sum:
-            raise GeometryError(f"weights must sum to 1, got {float(w.sum())}")
-        self.lines = lines
-        self.weights = w
-        self.d = int(d)
-        self.beta = float(beta)
-        self.eps = float(eps)
-        self.C0 = C0
-
-    @property
-    def exponent(self) -> float:
-        """Frostman exponent s = 2(d-1) + beta - eps."""
-        return 2.0 * (self.d - 1) + self.beta - self.eps
 
 
 def concentration_exponent(d: int, beta: float) -> float:
@@ -109,14 +75,13 @@ class BallNet:
     _nets: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def build(cls, n: int, delta: float, radii=None) -> "BallNet":
-        if radii is None:
-            radii = []
-            r = float(delta)
-            while r < 1.0 - 1e-12:
-                radii.append(r)
-                r *= 2.0
-            radii.append(1.0)
+    def build(cls, n: int, delta: float) -> "BallNet":
+        radii = []
+        r = float(delta)
+        while r < 1.0 - 1e-12:
+            radii.append(r)
+            r *= 2.0
+        radii.append(1.0)
         bound = {2: 400, 3: 20000}.get(n, 10 ** (2 * n))
         return cls(n=int(n), delta=float(delta), radii=tuple(radii), overlap_bound=bound)
 
@@ -195,14 +160,8 @@ class BallNet:
         feet, dirs = self._centers(r, [(w_idx, j)])
         return Line(Direction(dirs[0]), feet[0])
 
-    def scan(
-        self,
-        r: float,
-        feet: np.ndarray,
-        dirs: np.ndarray,
-        weights: np.ndarray | None = None,
-    ) -> tuple[float, tuple | None]:
-        """Max over net balls of radius r of the (weighted) line count.
+    def scan(self, r: float, feet: np.ndarray, dirs: np.ndarray) -> tuple[float, tuple | None]:
+        """Max over net balls of radius r of the line count.
 
         Returns (max value, key of the attaining ball).
         """
@@ -216,12 +175,7 @@ class BallNet:
             part = items[start : start + chunk]
             centers, wdirs = self._centers(r, [pair for _, pair in part])
             dist = _pair_distances(centers, wdirs, feet, dirs)
-            inside = dist <= r + 1e-12
-            vals = (
-                inside.sum(axis=1).astype(float)
-                if weights is None
-                else inside @ weights
-            )
+            vals = (dist <= r + 1e-12).sum(axis=1).astype(float)
             i_best = int(np.argmax(vals))
             if float(vals[i_best]) > best:
                 best = float(vals[i_best])
@@ -290,7 +244,7 @@ def check_ball_condition(
 
 
 class IncrementalBallCounter:
-    """Exact per-ball counts maintained under insertion and rollback.
+    """Exact per-ball counts maintained under insertion.
 
     Used by rejection sampling: adding a line touches exactly the net balls
     containing it, so the updated counts are the only ones that can newly
@@ -320,84 +274,6 @@ class IncrementalBallCounter:
         for key in keys:
             self.counts[key] = self.counts.get(key, 0) + 1
         return True
-
-
-# ---------------------------------------------------------------------------
-# Frostman constant, separation, pigeonholing, thinning
-# ---------------------------------------------------------------------------
-
-
-def frostman_constant(W: WeightedLineSet, s: float, net: BallNet) -> float:
-    """Smallest C0 with P(B) <= C0 r^s over the net; stored into W.C0."""
-    feet, dirs = _line_arrays(W.lines)
-    c0 = 0.0
-    for r in net.radii:
-        mass, _ = net.scan(r, feet, dirs, weights=W.weights)
-        c0 = max(c0, mass / r**s)
-    W.C0 = float(c0)
-    return float(c0)
-
-
-def separated_subset(L, sep: float) -> list[Line]:
-    """Greedy selection in input order of a sep-separated, maximal subset."""
-    kept: list[Line] = []
-    kept_feet: list[np.ndarray] = []
-    kept_dirs: list[np.ndarray] = []
-    for line in L:
-        if kept:
-            feet = np.stack(kept_feet)
-            dirs = np.stack(kept_dirs)
-            dist = _pair_distances(line.x[None, :], line.u.u[None, :], feet, dirs)[0]
-            if float(dist.min()) < sep:
-                continue
-        kept.append(line)
-        kept_feet.append(line.x)
-        kept_dirs.append(line.u.u)
-    return kept
-
-
-def ball_measure(W: WeightedLineSet, center: Line, radius: float) -> float:
-    """P(B(center, radius)): total weight of W's lines within the ball."""
-    feet, dirs = _line_arrays(W.lines)
-    dist = _pair_distances(center.x[None, :], center.u.u[None, :], feet, dirs)[0]
-    return float(W.weights[dist <= radius + 1e-12].sum())
-
-
-def dyadic_pigeonhole(
-    W: WeightedLineSet, delta: float, d: int, beta: float
-) -> tuple[list[Line], float]:
-    """Select the heaviest dyadic bucket of a 2*delta-separated subset.
-
-    Lines are bucketed by the dyadic level of P(B(line, delta)); for each
-    selected line the returned A satisfies
-    A^(-1) delta^s <= P(B(line, delta)) < 2 A^(-1) delta^s,  s = 2(d-1)+beta.
-    The winning bucket maximizes count x level; ties break toward larger A,
-    then the lower bucket index.
-    """
-    s = concentration_exponent(d, beta)
-    sep = separated_subset(W.lines, 2.0 * delta)
-    feet_all, dirs_all = _line_arrays(W.lines)
-    buckets: dict[int, list[Line]] = {}
-    for line in sep:
-        dist = _pair_distances(line.x[None, :], line.u.u[None, :], feet_all, dirs_all)[0]
-        mass = float(W.weights[dist <= delta + 1e-12].sum())
-        if mass <= 0.0:
-            continue
-        t = mass / delta**s
-        k = int(math.ceil(-math.log2(t) - 1e-12))
-        # Guard against float dust at dyadic boundaries.
-        while 2.0**-k > t:
-            k += 1
-        while t >= 2.0 ** (1 - k):
-            k -= 1
-        buckets.setdefault(k, []).append(line)
-    if not buckets:
-        raise GeometryError("all delta-ball measures vanish")
-    best_key = min(
-        buckets.keys(),
-        key=lambda k: (-len(buckets[k]) * 2.0**-k, k),
-    )
-    return buckets[best_key], 2.0**best_key
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,6 @@ class Tolerances:
     # A coordinate is "significantly nonzero" (for sign canonicalization)
     # when its magnitude exceeds this.
     sign_threshold: float = 1e-9
-    # Probability weights must sum to 1 to this accuracy.
-    weight_sum: float = 1e-9
 
 
 TOL = Tolerances()

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linegeom import (
-    CapCover,
     Direction,
     GeometryError,
     Subspace,
@@ -30,9 +29,6 @@ from .linegeom import (
 
 #: Exhaustive tuple enumeration is used only up to this many tuples.
 EXHAUSTIVE_BUDGET = 10**6
-
-#: Sample size for the estimator used beyond the exhaustive budget.
-SAMPLE_SIZE = 10**5
 
 #: Number of random subspaces probed when approximating the capture supremum.
 RANDOM_SUBSPACE_PROBES = 64
@@ -85,7 +81,7 @@ def _check_budget(N: int, k: int) -> None:
     if N**k > EXHAUSTIVE_BUDGET:
         raise BudgetError(
             f"{N}^{k} tuples exceed the exhaustive budget of {EXHAUSTIVE_BUDGET}; "
-            "use estimate_spread_count instead"
+            "use a smaller multiset or a smaller k"
         )
 
 
@@ -98,30 +94,6 @@ def count_spread_tuples(U: DirectionMultiset, k: int, rho: float) -> int:
     _check_budget(len(U), k)
     w = tuple_wedges([U.matrix()] * k)
     return int(np.count_nonzero(w >= rho ** (k - 1)))
-
-
-def estimate_spread_count(
-    U: DirectionMultiset, k: int, rho: float, seed: int = 0, samples: int = SAMPLE_SIZE
-) -> tuple[float, tuple[float, float]]:
-    """Sampled estimate of count_spread_tuples with a 95% confidence interval.
-
-    For use beyond the exhaustive budget; returns (estimate, (lo, hi)) on the
-    scale of tuple counts.
-    """
-    if not 2 <= k <= U.n:
-        raise GeometryError(f"need 2 <= k <= n, got k={k}, n={U.n}")
-    mat = U.matrix()
-    N = len(U)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, N, size=(samples, k))
-    vecs = mat[idx]  # (samples, k, n)
-    gram = vecs @ np.swapaxes(vecs, 1, 2)
-    det = np.linalg.det(gram)
-    hits = np.sqrt(np.clip(det, 0.0, 1.0)) >= rho ** (k - 1)
-    p = float(np.mean(hits))
-    half = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
-    total = float(N) ** k
-    return p * total, (max(p - half, 0.0) * total, min(p + half, 1.0) * total)
 
 
 def verify_option_a(U: DirectionMultiset, k: int, rho: float, claimed_count: int) -> bool:
@@ -254,18 +226,3 @@ def control_card_ratio(U: DirectionMultiset, k: int, rho: float, seed: int = 0) 
     rhs = rho ** ((1 - k) / k) * wedge_sum ** (1.0 / k) + best_capture
     return N / rhs if rhs > 0 else math.inf
 
-
-def cap_partition_counts(U: DirectionMultiset, cover: CapCover) -> list[tuple[int, int]]:
-    """Count the elements of U falling in each cap (every containing cap).
-
-    Returns (cap index, count) pairs for the caps with nonzero count.  Each
-    direction is assigned to all caps containing it, so the counts total
-    between #U and 10^n #U.
-    """
-    if cover.n != U.n:
-        raise GeometryError("cap cover dimension does not match the multiset")
-    counts: dict[int, int] = {}
-    for d in U.items:
-        for ci in cover.caps_containing(d):
-            counts[int(ci)] = counts.get(int(ci), 0) + 1
-    return sorted(counts.items())

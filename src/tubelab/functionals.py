@@ -11,7 +11,7 @@ of cells along the axis closest to the tube's direction, one closed-form
 interval of candidates per row, and the exact distance test to the core
 segment as the only membership decision.  A family is rasterized once per
 grid into a `FamilyRaster`: per-tube cell lists for small families, a
-streamed dense count field for large ones.  The raster carries its family
+dense count field for large ones.  The raster carries its family
 and is passed to every evaluation on that grid, so norms, cap and
 coarse-tube groupings and multilinear sums share one rasterization.
 Multilinear sums look up, per cell, only the tubes containing that cell and
@@ -53,10 +53,9 @@ COARSE_LENGTH = 3.0
 PER_TUBE_LIMIT = 4000
 
 #: Largest dense count field, in bytes (8 per grid cell), that
-#: `FamilyRaster.build` allocates.
+#: `FamilyRaster.build` allocates.  Tubes are counted into the field in
+#: place, so the field is the whole allocation of a dense build.
 DENSE_BYTES_LIMIT = 2**30
-
-_ENTRY_CHUNK = 20_000_000
 
 
 class UnderResolvedGridError(ValueError):
@@ -348,19 +347,11 @@ class FamilyRaster:
             return cls(F, grid, occ, counts, int(concat.size), cells)
         _check_dense_size(F, grid)
         dense = np.zeros(grid.total_cells, dtype=np.int64)
-        chunk: list[np.ndarray] = []
-        size = 0
         entries = 0
         for t in F.tubes:
             c = rasterize_tube(grid, t)
-            chunk.append(c)
-            size += c.size
+            dense[c] += 1  # exact: the cells of one tube are unique
             entries += c.size
-            if size >= _ENTRY_CHUNK:
-                dense += np.bincount(np.concatenate(chunk), minlength=grid.total_cells)
-                chunk, size = [], 0
-        if chunk:
-            dense += np.bincount(np.concatenate(chunk), minlength=grid.total_cells)
         occ = np.nonzero(dense)[0]
         return cls(F, grid, occ, dense[occ], entries, None)
 
@@ -372,28 +363,21 @@ class FamilyRaster:
             )
         return self.tube_cells
 
-    def cell_index(self) -> tuple:
-        """CSR index: for each occupied cell, which tubes contain it."""
+    def cell_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cells, ids): every (cell, tube) incidence, stably sorted by cell."""
         if self._index is None:
             cells = self.require_tube_cells()
             cat = np.concatenate(cells) if cells else np.empty(0, dtype=np.int64)
             ids = np.repeat(np.arange(len(cells)), [c.size for c in cells])
             order = np.argsort(cat, kind="stable")
-            cat, ids = cat[order], ids[order]
-            starts = np.searchsorted(cat, self.occ, side="left")
-            ends = np.searchsorted(cat, self.occ, side="right")
-            self._index = (starts, ends, ids)
+            self._index = (cat[order], ids[order])
         return self._index
 
     def lookup(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(starts, ends, ids) restricted to the given sorted cell array."""
-        starts, ends, ids = self.cell_index()
-        pos = np.searchsorted(self.occ, cells)
-        pos = np.clip(pos, 0, max(len(self.occ) - 1, 0))
-        valid = (len(self.occ) > 0) & (self.occ[pos] == cells) if len(self.occ) else np.zeros(len(cells), bool)
-        s = np.where(valid, starts[pos], 0)
-        e = np.where(valid, ends[pos], 0)
-        return s, e, ids
+        """(starts, ends, ids): the tubes containing cells[i] are
+        ids[starts[i]:ends[i]], in tube order."""
+        cat, ids = self.cell_index()
+        return np.searchsorted(cat, cells, "left"), np.searchsorted(cat, cells, "right"), ids
 
     def lp_norm(self, p: float) -> float:
         """Grid L^p norm of sum(chi_T): (h^n * sum counts^p)^(1/p)."""

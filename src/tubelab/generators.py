@@ -3,7 +3,7 @@
 - lines inside a Cantor-type union of parallel d-planes (the configuration
   that saturates both the non-concentration condition and the norm bound),
 - rejection-sampled random families satisfying the ball condition,
-- bushes through a common point,
+- bushes through the origin,
 - axis-parallel crossing families.
 
 Every generator is reproducible from (spec, seed); rejection sampling is
@@ -177,7 +177,6 @@ def gen_random_nonconcentrated(
     delta: float,
     seed: int = 0,
     size_cap: int = 200_000,
-    net: BallNet | None = None,
 ) -> RandomFamilyResult:
     """Rejection-sample uniform random lines subject to the ball condition.
 
@@ -188,9 +187,7 @@ def gen_random_nonconcentrated(
     target = int(round(delta ** (2.0 * (1 - d) - beta)))
     if target > size_cap:
         raise GeometryError(f"target count {target} exceeds cap {size_cap}; use a larger delta")
-    if net is None:
-        net = BallNet.build(n, delta)
-    counter = IncrementalBallCounter(net, delta, d, beta)
+    counter = IncrementalBallCounter(BallNet.build(n, delta), delta, d, beta)
     rng = np.random.default_rng(seed)
     tubes: list[Tube] = []
     draws = 0
@@ -211,17 +208,14 @@ def gen_random_nonconcentrated(
     return RandomFamilyResult(family, complete=len(tubes) >= target, draws=draws)
 
 
-def gen_bush(n: int, delta: float, count: int, center=None) -> TubeFamily:
-    """Tubes through a common point with angularly separated directions.
+def gen_bush(n: int, delta: float, count: int) -> TubeFamily:
+    """Tubes through the origin with angularly separated directions.
 
     The first min(count, n) directions are the standard basis; further
     directions come from a ring net, greedily thinned for separation.
     """
     if count < 1:
         raise GeometryError("bush needs at least one tube")
-    center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-    if float(np.linalg.norm(center)) > 0.5 - delta:
-        raise GeometryError("bush center too far from the origin for unit tubes in B(0,1)")
     chosen: list[np.ndarray] = [np.eye(n)[i] for i in range(min(count, n))]
     alpha = 1.0
     while len(chosen) < count:
@@ -236,7 +230,7 @@ def gen_bush(n: int, delta: float, count: int, center=None) -> TubeFamily:
             dots = np.abs(np.stack(chosen) @ u)
             if float(dots.max()) <= math.cos(alpha / 2.0):
                 chosen.append(u)
-    tubes = [Tube(center, Direction(u), delta) for u in chosen[:count]]
+    tubes = [Tube(np.zeros(n), Direction(u), delta) for u in chosen[:count]]
     return TubeFamily(tubes, delta, n, 1, 1.0)
 
 

@@ -127,16 +127,6 @@ class Subspace:
             raise GeometryError("basis is not orthonormal")
         object.__setattr__(self, "basis", _as_readonly(b))
 
-    @classmethod
-    def from_spanning(cls, vectors) -> "Subspace":
-        """Orthonormalize a spanning set (QR) and build the subspace."""
-        v = np.atleast_2d(np.asarray(vectors, dtype=float))
-        q, r = np.linalg.qr(v.T)
-        rank = int(np.sum(np.abs(np.diag(r)) > 1e-12))
-        if rank < v.shape[0]:
-            raise GeometryError("spanning vectors are linearly dependent")
-        return cls(q.T[: v.shape[0]])
-
     @property
     def k(self) -> int:
         return self.basis.shape[0]

@@ -1,6 +1,4 @@
-"""Ball nets, non-concentration scans, pigeonholing and random thinning."""
-
-import math
+"""Ball nets, non-concentration scans and random thinning."""
 
 import numpy as np
 import pytest
@@ -9,14 +7,9 @@ from tubelab.concentration import (
     BallNet,
     IncrementalBallCounter,
     ThinningError,
-    WeightedLineSet,
     ball_condition_worst_ratio,
-    ball_measure,
     check_ball_condition,
-    dyadic_pigeonhole,
-    frostman_constant,
     random_thin,
-    separated_subset,
     worst_ratio_of_lines,
 )
 from tubelab.functionals import TubeFamily
@@ -123,139 +116,6 @@ class TestWorstRatio:
         F = TubeFamily([], 2.0**-4, 2, 1, 1.0)
         with pytest.raises(GeometryError):
             ball_condition_worst_ratio(F, BallNet.build(2, 2.0**-4))
-
-
-class TestFrostman:
-    def test_point_mass(self):
-        delta = 2.0**-5
-        W = WeightedLineSet([Line(Direction([1.0, 0.0]), [0.0, 0.0])], [1.0], 1, 1.0)
-        net = BallNet.build(2, delta)
-        c0 = frostman_constant(W, W.exponent, net)
-        assert c0 == pytest.approx(delta**-W.exponent, rel=1e-9)
-        assert W.C0 == c0
-
-    def test_two_separated_lines(self):
-        # Lines at distance > 1: every net ball of radius < 1/2 holds at
-        # most one, so the constant is delta^(-s)/2, realized at r = delta.
-        delta = 2.0**-5
-        lines = [
-            Line(Direction([1.0, 0.0]), [0.0, -0.75]),
-            Line(Direction([1.0, 0.0]), [0.0, 0.75]),
-        ]
-        assert line_metric(lines[0], lines[1]) > 1.0
-        W = WeightedLineSet(lines, [0.5, 0.5], 1, 1.0)
-        c0 = frostman_constant(W, 1.0, BallNet.build(2, delta))
-        assert c0 == pytest.approx(0.5 * delta**-1.0, rel=1e-9)
-
-    def test_plane_family_order_one(self):
-        from tubelab.generators import gen_lines_in_planes
-
-        delta = 2.0**-6
-        F = gen_lines_in_planes(2, 1, 1.0, delta)
-        lines = F.lines()
-        W = WeightedLineSet(lines, np.full(len(lines), 1.0 / len(lines)), 1, 1.0)
-        c0 = frostman_constant(W, 1.0, BallNet.build(2, delta))
-        assert c0 <= 10.0  # order-one, recorded
-
-    def test_weight_validation(self):
-        with pytest.raises(GeometryError):
-            WeightedLineSet([Line(Direction([1.0, 0.0]), [0.0, 0.0])], [0.9], 1, 1.0)
-
-
-class TestSeparatedSubset:
-    def test_identical_lines_collapse(self):
-        l = Line(Direction([1.0, 0.0]), [0.0, 0.3])
-        assert separated_subset([l, l, l], 0.1) == [l]
-
-    def test_two_distant_lines_kept(self):
-        lines = parallel_lines(2, 3 * 0.05)
-        assert len(separated_subset(lines, 2 * 0.05)) == 2
-
-    def test_random_lines_separation_and_maximality(self):
-        rng = np.random.default_rng(5)
-        delta = 0.05
-        lines = random_lines(rng, 100, 2)
-        kept = separated_subset(lines, 2 * delta)
-        for i, a in enumerate(kept):
-            for b in kept[i + 1 :]:
-                assert line_metric(a, b) >= 2 * delta
-        for l in lines:
-            assert any(line_metric(l, k) < 2 * delta or l == k for k in kept)
-
-    def test_deterministic_and_scale_covariant(self):
-        rng = np.random.default_rng(6)
-        lines = random_lines(rng, 30, 2, max_foot=0.4)
-        kept1 = separated_subset(lines, 0.1)
-        kept2 = separated_subset(lines, 0.1)
-        assert kept1 == kept2
-        lam = 2.0
-        scaled = [Line(l.u, l.x * lam) for l in lines]
-        kept_scaled = separated_subset(scaled, lam * 0.1)
-        # Dilating feet scales foot distances but not wedges; use parallel
-        # lines so the metric is purely foot distance.
-        par = parallel_lines(20, 0.07)
-        kept_par = separated_subset(par, 0.1)
-        kept_par_scaled = separated_subset([Line(l.u, l.x * lam) for l in par], lam * 0.1)
-        assert [l.x[1] * lam for l in kept_par] == pytest.approx(
-            [l.x[1] for l in kept_par_scaled]
-        )
-
-
-class TestDyadicPigeonhole:
-    def test_uniform_weights_single_bucket(self):
-        delta = 2.0**-5
-        lines = parallel_lines(16, 4 * delta)
-        W = WeightedLineSet(lines, np.full(16, 1 / 16), 1, 1.0)
-        selected, A = dyadic_pigeonhole(W, delta, 1, 1.0)
-        assert len(selected) == 16
-        # Every line's delta-ball holds exactly its own weight 1/16.
-        t = (1 / 16) / delta
-        k = math.ceil(-math.log2(t))
-        assert A == 2.0**k
-
-    def test_two_band_weights_select_heavier(self):
-        delta = 2.0**-6
-        lines = parallel_lines(12, 4 * delta)
-        w = np.array([1.0] * 8 + [8.0] * 4)
-        w = w / w.sum()
-        W = WeightedLineSet(lines, w, 1, 1.0)
-        selected, A = dyadic_pigeonhole(W, delta, 1, 1.0)
-        # Count x level: light bucket 8 * (1/16)/delta vs heavy 4 * (8/16)/delta.
-        feet = {float(l.x[1]) for l in selected}
-        heavy_feet = {float(l.x[1]) for l in lines[8:]}
-        assert feet == heavy_feet
-
-    def test_bucket_bracket_verified_per_line(self):
-        rng = np.random.default_rng(8)
-        delta = 2.0**-6
-        lines = random_lines(rng, 60, 2, max_foot=0.6)
-        w = rng.uniform(0.2, 1.0, size=60)
-        w /= w.sum()
-        W = WeightedLineSet(lines, w, 1, 1.0)
-        selected, A = dyadic_pigeonhole(W, delta, 1, 1.0)
-        assert selected
-        s = 2 * (1 - 1) + 1.0
-        for l in selected:
-            mass = ball_measure(W, l, delta)
-            assert (1.0 / A) * delta**s <= mass * (1 + 1e-9)
-            assert mass < 2.0 / A * delta**s * (1 + 1e-9)
-
-    def test_pigeonhole_mass_bound(self):
-        # The winning bucket carries at least covered_mass/(2 * #levels) of
-        # the per-line delta-ball mass.
-        rng = np.random.default_rng(9)
-        delta = 2.0**-6
-        lines = random_lines(rng, 80, 2, max_foot=0.6)
-        w = rng.uniform(0.1, 1.0, size=80)
-        w /= w.sum()
-        W = WeightedLineSet(lines, w, 1, 1.0)
-        sep = separated_subset(W.lines, 2 * delta)
-        masses = [ball_measure(W, l, delta) for l in sep]
-        levels = {math.ceil(-math.log2(m / delta)) for m in masses if m > 0}
-        covered = sum(masses)
-        selected, A = dyadic_pigeonhole(W, delta, 1, 1.0)
-        bucket_mass = len(selected) * (1.0 / A) * delta
-        assert bucket_mass >= covered / (2 * len(levels)) - 1e-12
 
 
 class TestRandomThin:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,23 @@ class TestRasterization:
         np.testing.assert_array_equal(small.occ, big.occ)
         np.testing.assert_array_equal(small.counts, big.counts)
         assert small.entries == big.entries
+
+    def test_dense_build_peak_is_the_field(self):
+        # 2 x 2,001 axis-parallel tubes take the dense path; counting each
+        # tube into the field in place keeps the peak at the field's size,
+        # not at the family's 2.3M incidence entries.
+        from tubelab.generators import gen_axes
+
+        F = family([t for f in gen_axes(2, 2, 1 / 16, 2001) for t in f.tubes], 1 / 16, 2)
+        G = Grid.for_family(F, 4)
+        tracemalloc.start()
+        try:
+            raster = FamilyRaster.build(F, G)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert raster.tube_cells is None
+        assert peak < 2 * G.total_cells * 8 + 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_dense_field_over_limit_names_largest_factor(self, monkeypatch):
         rng = np.random.default_rng(6)
