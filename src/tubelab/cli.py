@@ -311,15 +311,13 @@ def _run_thin(params: dict, seed: int):
     net = BallNet.build(2, delta)
     input_ratio = worst_ratio_of_lines(lines, delta, 1, 1.0, net)
     successes = 0
-    attempts_used = []
     for s in range(n_seeds):
         try:
-            res = random_thin(
+            random_thin(
                 lines, A=2.0, C0=1.0, eps=0.0, delta=delta, seed=seed + s,
                 net=net, d=1, beta=1.0, max_attempts=1,
             )
             successes += 1
-            attempts_used.append(res.attempts)
         except ThinningError:
             pass
     rate = successes / n_seeds

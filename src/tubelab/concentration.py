@@ -10,9 +10,14 @@ the ring-lattice `linegeom.SphereNet` at angular resolution r/4 and foot
 points on an (r/2)-grid of each direction's orthogonal hyperplane.  Any line
 meeting the unit ball is then within r of some center.  Only centers near
 the query lines are ever materialized; balls away from every line are empty
-and cannot attain the maximum of any scan.  Every membership test, in scans
-and in incremental counts alike, compares the same array distances with
-r + 1e-12.
+and cannot attain the maximum of any scan.
+
+One routine, `BallNet._incidences`, finds every (center, line) candidate
+pair as arrays: lattice feet in a budget box per (line, net direction) pair,
+distinct centers by one `np.unique`.  A scan is a `bincount` over the pairs
+within r + 1e-12; incremental counts and the coverage and overlap probes read
+the same arrays for one line, so every membership test compares the same
+distances with r + 1e-12.
 """
 
 from __future__ import annotations
@@ -43,13 +48,9 @@ def _line_arrays(lines) -> tuple[np.ndarray, np.ndarray]:
     return feet, dirs
 
 
-def _pair_distances(feet_a, dirs_a, feet_b, dirs_b) -> np.ndarray:
-    """Distance matrix |x - x'| + wedge between two sets of lines."""
-    diff = feet_a[:, None, :] - feet_b[None, :, :]
-    foot = np.linalg.norm(diff, axis=2)
-    dots = np.clip(np.abs(dirs_a @ dirs_b.T), 0.0, 1.0)
-    wedge = np.sqrt(np.clip(1.0 - dots**2, 0.0, 1.0))
-    return foot + wedge
+#: Largest direction net, in rows, that `BallNet` builds for n >= 4; each
+#: net is kept per radius with a memoized foot basis per row it touches.
+MAX_NET_ROWS = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +66,12 @@ class BallNet:
     from a `SphereNet` at angular resolution r/4 and foot on an (r/2)-grid of
     the direction's orthogonal hyperplane.  Every line meeting B(0,1) is
     within r of some center, and no line lies in more than `overlap_bound`
-    balls of one radius.
+    balls of one radius.  A center is keyed (r, w_idx, *j): net row w_idx,
+    foot `complement(w_idx).T @ (j r/2)`.
+
+    `_incidences` is the one incidence path: scans, candidate keys,
+    incremental counts and the coverage and overlap probes all read its
+    (center, line) pair arrays.
     """
 
     n: int
@@ -88,108 +94,94 @@ class BallNet:
     def _net(self, r: float) -> SphereNet:
         if r not in self._nets:
             net = SphereNet(self.n, r / 4.0)
-            if self.n >= 4 and len(net) > 2_000_000:
-                raise MemoryError("direction net too large at this resolution")
+            if self.n >= 4 and len(net) > MAX_NET_ROWS:
+                raise MemoryError(
+                    f"direction net for n = {self.n} at r = {r:g} has {len(net)} rows, above "
+                    f"MAX_NET_ROWS = {MAX_NET_ROWS}; use a larger delta"
+                )
             self._nets[r] = net
         return self._nets[r]
 
-    def candidate_keys(self, r: float, feet: np.ndarray, dirs: np.ndarray) -> dict:
-        """All net centers within r of at least one of the given lines.
+    def _incidences(self, r: float, feet: np.ndarray, dirs: np.ndarray):
+        """Every candidate (center, line) pair at radius r, as arrays.
 
-        Returns {key: (w_idx, j_tuple)}; keys are unique lattice coordinates.
+        Returns (centers, center_of, dist): the distinct candidate centers
+        as int64 rows (w_idx, *j) in lexicographic order, and for each pair
+        its center's index and its distance |x - x'| + wedge.  A line's
+        candidates are, for every net row within asin(r) of its direction,
+        the lattice feet in the box |j r/2 - Q x| <= r - wedge around its
+        projected foot, so every center within r of the line is one of them.
+        A center appears at most once per line.
         """
         net = self._net(r)
         g = r / 2.0
-        out: dict[tuple, tuple] = {}
-        max_angle = math.asin(min(r, 1.0)) if r < 1.0 else math.pi / 2.0
-        dir_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-        for x, u in zip(feet, dirs):
-            ukey = u.tobytes()
-            hit = dir_cache.get(ukey)
-            if hit is None:
-                cands = net.within(u, max_angle)
-                wmat = net.rows[cands]
-                wedges = np.sqrt(
-                    np.clip(1.0 - np.clip(np.abs(wmat @ u), 0, 1) ** 2, 0.0, 1.0)
-                )
-                hit = (cands, wedges)
-                dir_cache[ukey] = hit
-            cands, wedges = hit
-            if cands.size == 0:
-                continue
-            for wi, wedge in zip(cands, wedges):
-                budget = r - float(wedge)
-                if budget < -1e-12:
-                    continue
-                Q = net.complement(int(wi))
-                y = Q @ x
-                los = np.ceil((y - budget) / g - 1e-9).astype(np.int64)
-                his = np.floor((y + budget) / g + 1e-9).astype(np.int64)
-                if np.any(his < los):
-                    continue
-                ranges = [np.arange(lo, hi + 1) for lo, hi in zip(los, his)]
-                mesh = np.meshgrid(*ranges, indexing="ij") if ranges else []
-                js = (
-                    np.stack([m.ravel() for m in mesh], axis=1)
-                    if mesh
-                    else np.zeros((1, 0), dtype=np.int64)
-                )
-                for j in js:
-                    key = (r, int(wi)) + tuple(int(v) for v in j)
-                    if key not in out:
-                        out[key] = (int(wi), tuple(int(v) for v in j))
-        return out
+        max_angle = math.asin(r) if r < 1.0 else math.pi / 2.0
+        # (line, net row) pairs, one `within` per distinct direction.
+        udirs, dir_of = np.unique(dirs, axis=0, return_inverse=True)
+        near = [net.within(u, max_angle) for u in udirs]
+        line_of = np.repeat(np.arange(len(feet)), [near[k].size for k in dir_of])
+        w = np.concatenate([near[k] for k in dir_of])
+        dots = np.clip(np.abs(np.einsum("ij,ij->i", net.rows[w], dirs[line_of])), 0.0, 1.0)
+        wedge = np.sqrt(np.clip(1.0 - dots**2, 0.0, 1.0))
+        # Lattice feet in each pair's budget box, expanded with repeat/arange.
+        uw, w_at = np.unique(w, return_inverse=True)
+        bases = np.stack([net.complement(int(i)) for i in uw])
+        y = np.einsum("pij,pj->pi", bases[w_at], feet[line_of])
+        budget = (r - wedge)[:, None]
+        los = np.ceil((y - budget) / g - 1e-9).astype(np.int64)
+        sides = np.maximum(np.floor((y + budget) / g + 1e-9).astype(np.int64) - los + 1, 0)
+        size = sides.prod(axis=1)
+        pair_of = np.repeat(np.arange(size.size), size)
+        t = np.arange(pair_of.size) - np.repeat(np.cumsum(size) - size, size)
+        j = np.empty((pair_of.size, self.n - 1), dtype=np.int64)
+        for c in range(self.n - 2, -1, -1):
+            j[:, c] = los[pair_of, c] + t % sides[pair_of, c]
+            t //= sides[pair_of, c]
+        # Distinct centers: pack (w_idx, *j) in mixed radix, w_idx first.
+        lo = j.min(axis=0)
+        spans = (j.max(axis=0) - lo + 1).tolist()
+        if len(net) * math.prod(spans) >= 2**63:
+            raise OverflowError(f"candidate lattice at r = {r:g} spans {spans} feet; lines too far apart")
+        strides = np.array([math.prod(spans[c + 1 :]) for c in range(len(spans))], dtype=np.int64)
+        packed = w[pair_of] * math.prod(spans) + (j - lo) @ strides
+        _, first, center_of = np.unique(packed, return_index=True, return_inverse=True)
+        centers = np.column_stack([w[pair_of[first]], j[first]])
+        cfeet = np.einsum("kij,ki->kj", bases[w_at[pair_of[first]]], centers[:, 1:] * g)
+        dist = np.linalg.norm(cfeet[center_of] - feet[line_of[pair_of]], axis=1) + wedge[pair_of]
+        return centers, center_of, dist
 
-    def _centers(self, r: float, pairs) -> tuple[np.ndarray, np.ndarray]:
-        """Foot and direction arrays of the centers named by (w_idx, j) pairs."""
-        net = self._net(r)
-        g = r / 2.0
-        feet = np.empty((len(pairs), self.n))
-        for i, (wi, j) in enumerate(pairs):
-            feet[i] = net.complement(wi).T @ (np.asarray(j, dtype=float) * g)
-        return feet, net.rows[np.fromiter((wi for wi, _ in pairs), np.int64, len(pairs))]
+    def candidate_keys(self, r: float, feet: np.ndarray, dirs: np.ndarray) -> dict:
+        """The candidate centers of the given lines: every net center within r
+        of at least one of them, and some that are not.
 
-    def _distances(self, r: float, line: Line) -> tuple[list, np.ndarray]:
-        """Keys of the candidate centers near one line and the line's distance to each."""
-        feet, dirs = _line_arrays([line])
-        keys = self.candidate_keys(r, feet, dirs)
-        dist = _pair_distances(*self._centers(r, list(keys.values())), feet, dirs)[:, 0]
-        return list(keys), dist
+        Returns {key: (w_idx, j_tuple)} in sorted key order.
+        """
+        centers = self._incidences(r, feet, dirs)[0]
+        return {(r, *c): (c[0], tuple(c[1:])) for c in centers.tolist()}
 
     def center_line(self, r: float, w_idx: int, j: tuple) -> Line:
-        feet, dirs = self._centers(r, [(w_idx, j)])
-        return Line(Direction(dirs[0]), feet[0])
+        net = self._net(r)
+        foot = net.complement(w_idx).T @ (np.asarray(j, dtype=float) * (r / 2.0))
+        return Line(Direction(net.rows[w_idx]), foot)
 
     def scan(self, r: float, feet: np.ndarray, dirs: np.ndarray) -> tuple[float, tuple | None]:
         """Max over net balls of radius r of the line count.
 
-        Returns (max value, key of the attaining ball).
+        Returns (max value, key of the first attaining ball in key order).
         """
-        keys = self.candidate_keys(r, feet, dirs)
-        if not keys:
-            return 0.0, None
-        best, best_key = -1.0, None
-        items = list(keys.items())
-        chunk = max(1, 4_000_000 // max(len(feet), 1))
-        for start in range(0, len(items), chunk):
-            part = items[start : start + chunk]
-            centers, wdirs = self._centers(r, [pair for _, pair in part])
-            dist = _pair_distances(centers, wdirs, feet, dirs)
-            vals = (dist <= r + 1e-12).sum(axis=1).astype(float)
-            i_best = int(np.argmax(vals))
-            if float(vals[i_best]) > best:
-                best = float(vals[i_best])
-                best_key = part[i_best][0]
-        return best, best_key
+        centers, center_of, dist = self._incidences(r, feet, dirs)
+        counts = np.bincount(center_of[dist <= r + 1e-12], minlength=len(centers))
+        best = int(np.argmax(counts))
+        return float(counts[best]), (r, *centers[best].tolist())
 
     def nearest_center_distance(self, r: float, line: Line) -> float:
         """Distance from a line to its nearest net center at radius r (coverage probe)."""
-        _, dist = self._distances(r, line)
+        dist = self._incidences(r, *_line_arrays([line]))[2]
         return float(dist.min()) if dist.size else math.inf
 
     def balls_containing(self, r: float, line: Line) -> int:
         """Number of net balls of radius r containing the line (overlap probe)."""
-        _, dist = self._distances(r, line)
+        dist = self._incidences(r, *_line_arrays([line]))[2]
         return int(np.count_nonzero(dist <= r + 1e-12))
 
 
@@ -258,10 +250,11 @@ class IncrementalBallCounter:
         self.counts: dict[tuple, int] = {}
 
     def _containing_keys(self, line: Line) -> list[tuple]:
+        """Keys of every net ball containing the line, radius by radius in key order."""
         found = []
         for r in self.net.radii:
-            keys, dist = self.net._distances(r, line)
-            found += [key for key, inside in zip(keys, dist <= r + 1e-12) if inside]
+            centers, center_of, dist = self.net._incidences(r, *_line_arrays([line]))
+            found += [(r, *c) for c in centers[np.sort(center_of[dist <= r + 1e-12])].tolist()]
         return found
 
     def try_add(self, line: Line) -> bool:

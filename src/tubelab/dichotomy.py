@@ -211,7 +211,7 @@ def control_card_ratio(U: DirectionMultiset, k: int, rho: float, seed: int = 0) 
         res = decide_dichotomy(U, k, rho)
         if res.variant == "B":
             candidates.append(res.witness)
-    except (UncertifiedDichotomyError, BudgetError):
+    except UncertifiedDichotomyError:
         pass
     rng = np.random.default_rng(seed)
     for _ in range(RANDOM_SUBSPACE_PROBES):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tubelab import concentration
 from tubelab.concentration import (
     BallNet,
     IncrementalBallCounter,
@@ -13,7 +16,7 @@ from tubelab.concentration import (
     worst_ratio_of_lines,
 )
 from tubelab.functionals import TubeFamily
-from tubelab.linegeom import Direction, GeometryError, Line, Tube, line_metric
+from tubelab.linegeom import Direction, GeometryError, Line, SphereNet, Tube, line_metric
 
 
 def parallel_lines(count, spacing, direction=(1.0, 0.0), start=None):
@@ -81,6 +84,85 @@ class TestBallNet:
                     assert net.balls_containing(r, line) == sum(dist <= r + 1e-12 for dist in dists.values())
                     assert net.nearest_center_distance(r, line) == pytest.approx(min(dists.values()), abs=1e-12)
                 assert counter._containing_keys(line) == inside
+
+
+def clustered_lines(rng, count, n, spread):
+    """Lines whose directions and feet scatter by `spread` around e0 through 0."""
+    lines = []
+    for _ in range(count):
+        u = np.eye(n)[0] + spread * rng.normal(size=n)
+        lines.append(Line.through(spread * rng.normal(size=n), u / np.linalg.norm(u)))
+    return lines
+
+
+def full_net_max(n, r, lines):
+    """Largest line count over every center of the radius-r net: all rows of
+    SphereNet(n, r/4) times every foot lattice point within 1 + r of 0."""
+    sphere, g = SphereNet(n, r / 4.0), r / 2.0
+    axis = np.arange(-int((1.0 + r) / g), int((1.0 + r) / g) + 1)
+    lattice = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"), axis=-1).reshape(-1, n - 1) * g
+    lattice = lattice[np.linalg.norm(lattice, axis=1) <= 1.0 + r]
+    bases = np.stack([sphere.complement(i) for i in range(len(sphere))])
+    feet = np.einsum("wij,ki->wkj", bases, lattice)
+    counts = np.zeros(feet.shape[:2], dtype=np.int64)
+    for line in lines:
+        wedge = np.sqrt(np.clip(1.0 - (sphere.rows @ line.u.u) ** 2, 0.0, 1.0))
+        counts += np.linalg.norm(feet - line.x, axis=2) + wedge[:, None] <= r + 1e-12
+    return float(counts.max())
+
+
+class TestScanAgainstFullNet:
+    """Scan maxima against every center of the net, not only the candidates;
+    line feet stay inside B(0, 1), so a center holding a line has its foot
+    within 1 + r."""
+
+    @pytest.mark.parametrize("n, delta", [(2, 2.0**-5), (3, 2.0**-2)])
+    @pytest.mark.parametrize("kind", ["random", "clustered"])
+    def test_scan_max_equals_full_net_max(self, n, delta, kind):
+        rng = np.random.default_rng(5 + n)
+        lines = random_lines(rng, 24, n, max_foot=0.5) if kind == "random" else clustered_lines(rng, 24, n, delta)
+        feet, dirs = np.stack([l.x for l in lines]), np.stack([l.u.u for l in lines])
+        net = BallNet.build(n, delta)
+        for r in net.radii:
+            assert net.scan(r, feet, dirs)[0] == full_net_max(n, r, lines), r
+
+
+class TestIncidenceConsumers:
+    NETS = {2: BallNet.build(2, 2.0**-4), 3: BallNet.build(3, 2.0**-3)}
+
+    @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_monotone_ratio_and_counter_family_passes(self, n, seed, beta):
+        """Adding a line never lowers the worst ratio, and a family built by
+        try_add passes check_ball_condition, with the counter's largest count
+        at each radius equal to the scan maximum on the same net."""
+        net, delta = self.NETS[n], self.NETS[n].delta
+        lines = clustered_lines(np.random.default_rng(seed), 8, n, 0.1)
+        ratios = [worst_ratio_of_lines(lines[:k], delta, 1, beta, net) for k in range(1, len(lines) + 1)]
+        assert all(b >= a for a, b in zip(ratios, ratios[1:]))
+
+        counter = IncrementalBallCounter(net, delta, 1, beta)
+        kept = [l for l in lines if counter.try_add(l)]
+        assert check_ball_condition(kept, delta, 1, beta, net)[0]
+        feet, dirs = np.stack([l.x for l in kept]), np.stack([l.u.u for l in kept])
+        for r in net.radii:
+            largest = max(c for key, c in counter.counts.items() if key[0] == r)
+            assert largest == net.scan(r, feet, dirs)[0]
+
+
+class TestLimits:
+    def test_direction_net_limit_names_its_inputs(self, monkeypatch):
+        monkeypatch.setattr(concentration, "MAX_NET_ROWS", 1000)
+        net = BallNet.build(4, 0.5)
+        feet, dirs = np.zeros((1, 4)), np.eye(4)[:1]
+        with pytest.raises(MemoryError, match=r"n = 4 at r = 1 has 6288 rows, above MAX_NET_ROWS = 1000; use a larger delta"):
+            net.scan(1.0, feet, dirs)
+
+    def test_unpackable_lattice_fails_loudly(self):
+        net = BallNet.build(3, 0.5)
+        feet = np.array([[0.0, 1e9, 1e9], [0.0, -1e9, -1e9]])
+        with pytest.raises(OverflowError, match="too far apart"):
+            net.scan(1.0, feet, np.tile(np.eye(3)[0], (2, 1)))
 
 
 class TestWorstRatio:
