@@ -14,9 +14,12 @@ grid into a `FamilyRaster`: per-tube cell lists for small families, a
 dense count field for large ones.  The raster carries its family
 and is passed to every evaluation on that grid, so norms, cap and
 coarse-tube groupings and multilinear sums share one rasterization.
-Multilinear sums look up, per cell, only the tubes containing that cell and
-sum the wedge volumes of their tuples from one table computed by
-`linegeom.tuple_wedges`, never materializing the k-fold product over cells.
+Multilinear sums group the candidate cells into faces, the cells contained
+in the same tubes of every slot, and sum the wedge volumes of a face's tuples
+once, from one table computed by `linegeom.tuple_wedges`; the k-fold product
+over cells is never materialized.  Grouped norms merge a group's sorted
+per-tube cell lists with one stable sort, and the rho-coarsening tests all
+lattice candidates of a (tube, cap) pair in one broadcast.
 """
 
 from __future__ import annotations
@@ -388,13 +391,22 @@ class FamilyRaster:
     def grouped_lp_power(self, groups, p: float) -> float:
         """Sum over tube-index groups of ||sum over the group of chi_T||_p^p.
 
-        Groups are summed in the order given.
+        Groups are summed in the order given, and a group listed again (the
+        same tubes in the same order) reuses its first value.  A group's
+        cell lists are sorted runs, so a stable sort merges them, and the
+        multiplicity of a cell is the length of its run in the merged list.
         """
         cells = self.require_tube_cells()
+        powers: dict[tuple, float] = {}
         acc = 0.0
         for tubes in groups:
-            _, counts = np.unique(np.concatenate([cells[ti] for ti in tubes]), return_counts=True)
-            acc += float(np.sum(counts.astype(float) ** p)) * self.grid.cell_volume
+            key = tuple(tubes)
+            if key not in powers:
+                merged = np.sort(np.concatenate([cells[ti] for ti in key]), kind="stable")
+                ends = np.flatnonzero(np.diff(merged)) + 1
+                counts = np.diff(np.concatenate(([0], ends, [merged.size])))
+                powers[key] = float(np.sum(counts.astype(float) ** p)) * self.grid.cell_volume
+            acc += powers[key]
         return acc
 
 
@@ -442,8 +454,12 @@ def _multilinear_values(rasters: list[FamilyRaster]) -> tuple[np.ndarray, np.nda
     """multilinear_cell_values over built rasters, one per tuple slot.
 
     A family repeated across slots is passed as the same raster object.
+    Cells with the same containing tubes in every slot (the same face of the
+    arrangement) have the same value: it is evaluated once per face, on one
+    of its cells, and scattered back to the face's cells.
     """
-    if len({id(r) for r in rasters}) == 1:
+    distinct = list({id(r): r for r in rasters}.values())
+    if len(distinct) == 1:
         r0 = rasters[0]
         cand = r0.occ[r0.counts >= 2]
     else:
@@ -454,12 +470,39 @@ def _multilinear_values(rasters: list[FamilyRaster]) -> tuple[np.ndarray, np.nda
         return cand, np.zeros(0)
 
     W = tuple_wedges([r.family.direction_matrix() for r in rasters])
-    lookups = [r.lookup(cand) for r in rasters]
-    vals = np.zeros(cand.size)
-    for i in range(cand.size):
-        subs = [ids[s[i] : e[i]] for (s, e, ids) in lookups]
-        vals[i] = W[np.ix_(*subs)].sum()
-    return cand, vals
+    lookups = {id(r): r.lookup(cand) for r in distinct}
+    face, faces = _row_labels(np.stack([_run_labels(*lookups[id(r)]) for r in distinct], axis=1))
+    first = np.empty(faces, dtype=np.int64)
+    first[face] = np.arange(face.size)
+    slots = [lookups[id(r)] for r in rasters]
+    face_vals = np.array([W[np.ix_(*[ids[s[i] : e[i]] for s, e, ids in slots])].sum() for i in first.tolist()])
+    return cand, face_vals[face]
+
+
+def _run_labels(starts: np.ndarray, ends: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Labels of the runs ids[starts[i]:ends[i]], equal exactly when the runs
+    are equal.  Runs of one length are compared as the rows of one array."""
+    lengths = ends - starts
+    labels = np.empty(lengths.size, dtype=np.int64)
+    used = 0
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        run_labels, count = _row_labels(ids[starts[rows, None] + np.arange(length)])
+        labels[rows] = used + run_labels
+        used += count
+    return labels
+
+
+def _row_labels(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """(labels, count): labels 0..count-1 of the rows of a 2-D integer array,
+    equal exactly when the rows are equal."""
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    labels = np.empty(len(rows), dtype=np.int64)
+    labels[order] = np.cumsum(new) - 1
+    return labels, int(np.count_nonzero(new))
 
 
 def multilinear_power_integral(families: list[TubeFamily], power: float, G: Grid) -> float:
@@ -523,11 +566,11 @@ def decompose_lp(raster: FamilyRaster, rho: float, k: int, p: float) -> tuple[fl
     term_multilinear = rho ** ((1.0 - k) / k) * integral ** (1.0 / p)
 
     cover = build_cap_cover(F.n, rho)
-    members: dict[int, list[int]] = {}
-    for ti, tube in enumerate(F.tubes):
-        for ci in cover.caps_containing(tube.direction):
-            members.setdefault(int(ci), []).append(ti)
-    acc = raster.grouped_lp_power(members.values(), p)
+    member = cover.membership(F.direction_matrix())
+    # Caps in the order the tubes first reach them, each with its tubes in order.
+    caps = np.flatnonzero(member.any(axis=0))
+    caps = caps[np.argsort(member[:, caps].argmax(axis=0), kind="stable")]
+    acc = raster.grouped_lp_power((np.flatnonzero(member[:, ci]) for ci in caps), p)
     pc = _conjugate(p)
     cap_prefactor = 1.0 if math.isinf(pc) else rho ** ((2.0 - k) / pc)
     term_caps = cap_prefactor * acc ** (1.0 / p)
@@ -557,43 +600,44 @@ def coarsen_to_rho_tubes(F: TubeFamily, rho: float) -> RhoCoarsening:
         raise ValueError(f"need delta < rho/2, got delta={delta}, rho={rho}")
     if rho > 0.5:
         raise ValueError("coarsening radius above 1/2 is not supported")
-    cover = build_cap_cover(F.n, rho / 2.0)
-    bases = {i: complete_orthonormal(c.u[None], F.n)[1:] for i, c in enumerate(cover.centers)}
+    n = F.n
+    cover = build_cap_cover(n, rho / 2.0)
     trans = rho / 4.0
+    # The candidates of one (tube, cap) pair: axial shifts -1, 0, 1 from the
+    # nearest unit lattice point, each with the 3^(n-1) transverse offsets
+    # from the nearest rho/4 lattice point, in the order keys are numbered.
+    box = np.stack(
+        np.meshgrid(*([np.arange(-1, 2)] * (n - 1)), indexing="ij"), axis=-1
+    ).reshape(-1, n - 1)
+    shifts = np.repeat(np.arange(-1, 2), len(box))
+    offsets = np.tile(box, (3, 1))
+    bases: dict[int, np.ndarray] = {}
 
     coarse_index: dict[tuple, int] = {}
     coarse_tubes: list[Tube] = []
     assignment: list[tuple[int, ...]] = []
-    n = F.n
-    box = np.stack(
-        np.meshgrid(*([np.arange(-1, 2)] * (n - 1)), indexing="ij"), axis=-1
-    ).reshape(-1, n - 1)
-
+    member = cover.membership(F.direction_matrix())
     for ti, tube in enumerate(F.tubes):
         got: list[int] = []
-        e0, e1 = tube.endpoints
-        for ci in cover.caps_containing(tube.direction):
-            w = cover.centers[int(ci)].u
-            Q = bases[int(ci)]
-            t_along = float(np.dot(tube.segment_center, w))
-            y = Q @ tube.segment_center
-            base_j = np.round(y / trans).astype(np.int64)
-            for a in (round(t_along) - 1, round(t_along), round(t_along) + 1):
-                for off in box:
-                    j = base_j + off
-                    center = a * w + Q.T @ (j * trans)
-                    dists = segment_point_distances(
-                        np.stack([e0, e1]), center, w, COARSE_LENGTH
-                    )
-                    if float(dists.max()) <= rho - delta + 1e-12:
-                        key = (int(ci), int(a)) + tuple(int(v) for v in j)
-                        idx = coarse_index.get(key)
-                        if idx is None:
-                            idx = len(coarse_tubes)
-                            coarse_index[key] = idx
-                            coarse_tubes.append(Tube(center, Direction(w), rho, COARSE_LENGTH))
-                        if idx not in got:
-                            got.append(idx)
+        ends = np.stack(tube.endpoints)
+        for ci in np.flatnonzero(member[ti]).tolist():
+            w = cover.centers[ci].u
+            Q = bases.get(ci)
+            if Q is None:
+                Q = bases[ci] = complete_orthonormal(w[None], n)[1:]
+            a = shifts + round(float(np.dot(tube.segment_center, w)))
+            j = np.round(Q @ tube.segment_center / trans).astype(np.int64) + offsets
+            # Row by row this is a * w + Q.T @ (j * trans): the stacked
+            # product makes the same matrix-vector call per row.
+            centers = a[:, None] * w + np.matmul(Q.T, (j * trans)[:, :, None])[:, :, 0]
+            dists = segment_point_distances(ends, centers[:, None, :], w, COARSE_LENGTH)
+            for row in np.flatnonzero(dists.max(axis=1) <= rho - delta + 1e-12).tolist():
+                key = (ci, int(a[row]), *j[row].tolist())
+                idx = coarse_index.get(key)
+                if idx is None:
+                    idx = coarse_index[key] = len(coarse_tubes)
+                    coarse_tubes.append(Tube(centers[row], cover.centers[ci], rho, COARSE_LENGTH))
+                got.append(idx)
         if not got:
             raise GeometryError(
                 f"fine tube {ti} not contained in any lattice rho-tube "

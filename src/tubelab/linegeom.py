@@ -335,11 +335,15 @@ def complete_orthonormal(rows, n: int) -> np.ndarray:
 
 
 def segment_point_distances(points: np.ndarray, center: np.ndarray, u: np.ndarray, length: float) -> np.ndarray:
-    """Distances from an array of points (m, n) to the segment center +- (length/2) u."""
+    """Distances from points (m, n) to the segment center +- (length/2) u.
+
+    `center` may also be a stack of centers (..., 1, n) of segments sharing
+    u, giving the distances (..., m) from the points to each segment.
+    """
     rel = points - center
     t = rel @ u
     np.clip(t, -0.5 * length, 0.5 * length, out=t)
-    return np.linalg.norm(rel - t[:, None] * u[None, :], axis=1)
+    return np.linalg.norm(rel - t[..., None] * u, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +476,11 @@ class CapCover:
         uu = u.u if isinstance(u, Direction) else np.asarray(u, dtype=float)
         dots = np.abs(self._matrix @ uu)
         return np.nonzero(dots >= math.cos(self.rho) - 1e-12)[0]
+
+    def membership(self, dirs: np.ndarray) -> np.ndarray:
+        """Boolean (len(dirs), len(self)) matrix: entry (i, c) says whether
+        cap c contains the unit vector dirs[i], by the caps_containing test."""
+        return np.abs(dirs @ self._matrix.T) >= math.cos(self.rho) - 1e-12
 
 
 def build_cap_cover(n: int, rho: float) -> CapCover:

@@ -9,6 +9,7 @@ import pytest
 
 from tubelab import functionals
 from tubelab.functionals import (
+    COARSE_LENGTH,
     C_COMP,
     FamilyRaster,
     Grid,
@@ -30,10 +31,14 @@ from tubelab.linegeom import (
     Direction,
     GeometryError,
     Tube,
+    build_cap_cover,
+    complete_orthonormal,
     point_in_tube,
     segment_point_distances,
+    tuple_wedges,
     wedge_volume,
 )
+from tubelab.suites import DECOMPOSE_RHO, suite_member
 
 
 def family(tubes, delta, n, d=1, beta=1.0):
@@ -300,6 +305,138 @@ class TestMultilinear:
         assert abs(ratio / exact - 1.0) <= 0.1
 
 
+def per_cell_values(rasters):
+    """The per-cell multilinear loop: every candidate cell looks up its
+    tubes per slot and sums its own block of the wedge table."""
+    if len({id(r) for r in rasters}) == 1:
+        cand = rasters[0].occ[rasters[0].counts >= 2]
+    else:
+        cand = rasters[0].occ
+        for r in rasters[1:]:
+            cand = np.intersect1d(cand, r.occ, assume_unique=True)
+    if cand.size == 0:
+        return cand, np.zeros(0)
+    W = tuple_wedges([r.family.direction_matrix() for r in rasters])
+    lookups = [r.lookup(cand) for r in rasters]
+    vals = np.zeros(cand.size)
+    for i in range(cand.size):
+        subs = [ids[s[i] : e[i]] for (s, e, ids) in lookups]
+        vals[i] = W[np.ix_(*subs)].sum()
+    return cand, vals
+
+
+def tuple_enumeration(fams, G):
+    """{cell: (value, tuples)}: membership by point_in_tube on the cell
+    centers near each tube, and the sum of wedge_volume over the ordered
+    tuples of containing tubes, one from each family."""
+    hits = {}
+    for f in {id(f): f for f in fams}.values():
+        found: dict[int, list[int]] = {}
+        for i, t in enumerate(f.tubes):
+            # Cells of the bounding box within r + h of the axis, a margin
+            # wide enough that point_in_tube alone decides membership.
+            ends = np.stack(t.endpoints)
+            lo = np.maximum(np.floor((ends.min(axis=0) - t.radius - G.lo) / G.h).astype(int), 0)
+            hi = np.minimum(np.ceil((ends.max(axis=0) + t.radius - G.lo) / G.h).astype(int), G.m - 1)
+            axes = np.meshgrid(*[np.arange(a, b + 1) for a, b in zip(lo, hi)], indexing="ij")
+            multi = np.stack(axes, axis=-1).reshape(-1, G.n)
+            centers = G.lo + (multi + 0.5) * G.h
+            rel = centers - t.segment_center
+            along = np.clip(rel @ t.direction.u, -t.length / 2, t.length / 2)
+            near = np.linalg.norm(rel - np.outer(along, t.direction.u), axis=1) <= t.radius + G.h
+            linear = np.ravel_multi_index(multi.T, (G.m,) * G.n)
+            for cell, x in zip(linear[near].tolist(), centers[near]):
+                if point_in_tube(t, x):
+                    found.setdefault(cell, []).append(i)
+        hits[id(f)] = found
+    cells = set.intersection(*[set(hits[id(f)]) for f in fams])
+    wedges = {}
+    want = {}
+    for cell in cells:
+        members = [hits[id(f)][cell] for f in fams]
+        total = 0.0
+        for combo in itertools.product(*members):
+            if combo not in wedges:
+                wedges[combo] = wedge_volume([f.tubes[i].direction.u for f, i in zip(fams, combo)])
+            total += wedges[combo]
+        want[cell] = (total, math.prod(len(m) for m in members))
+    return want
+
+
+class TestFaceSums:
+    """Per-face multilinear sums against the per-cell loop and against
+    explicit tuple enumeration."""
+
+    @staticmethod
+    def slot_families(case):
+        if case == "bush-n2":
+            return suite_member("bush-n2").mk_families(2.0**-4)
+        axes = suite_member("axes-n3-k3").mk_families(2.0**-4)
+        if case == "axes-n3-k3":
+            return axes
+        bush = suite_member("bush-n3").family(2.0**-4)
+        return [bush, bush, axes[0]]
+
+    @pytest.mark.parametrize("case", ["bush-n2", "axes-n3-k3", "mixed-AAB"])
+    def test_equals_per_cell_loop_and_tuple_enumeration(self, case):
+        fams = self.slot_families(case)
+        assert len({id(f) for f in fams}) == {"bush-n2": 1, "axes-n3-k3": 3, "mixed-AAB": 2}[case]
+        G = Grid.for_family(fams[0], 4)
+        built = {}
+        rasters = [built.setdefault(id(f), FamilyRaster.build(f, G)) for f in fams]
+        cells, vals = multilinear_cell_values(fams, G)
+        ref_cells, ref_vals = per_cell_values(rasters)
+        assert np.array_equal(cells, ref_cells) and np.array_equal(vals, ref_vals)
+
+        # The dedup path runs: fewer distinct faces than cells.
+        lookups = [r.lookup(cells) for r in built.values()]
+        faces = {tuple(ids[s[i] : e[i]].tobytes() for s, e, ids in lookups) for i in range(cells.size)}
+        assert 1 < len(faces) < cells.size
+
+        want = tuple_enumeration(fams, G)
+        got = dict(zip(cells.tolist(), vals.tolist()))
+        assert any(v > 0.0 for v, _ in want.values())
+        for cell in set(got) | set(want):
+            value, tuples = want.get(cell, (0.0, 0))
+            assert abs(got.get(cell, 0.0) - value) <= 3e-8 * max(tuples, 1), cell
+
+
+class TestGroupedLpPower:
+    @staticmethod
+    def per_group_unique(raster, groups, p):
+        cells = raster.tube_cells
+        acc = 0.0
+        for tubes in groups:
+            _, counts = np.unique(np.concatenate([cells[t] for t in tubes]), return_counts=True)
+            acc += float(np.sum(counts.astype(float) ** p)) * raster.grid.cell_volume
+        return acc
+
+    def test_random_groups_equal_per_group_unique(self):
+        rng = np.random.default_rng(23)
+        F = generic_family(rng, 2, 2.0**-5, 30)
+        raster = FamilyRaster.build(F, Grid.for_family(F, 4))
+        groups = [list(rng.permutation(30)[: rng.integers(2, 12)]) for _ in range(25)]
+        # Single-tube groups, tube 7 in several groups, and groups listed
+        # twice: once as they are and once in reverse order.
+        groups += [[7], [0], [29], [7, 3, 0], [7]] + groups[:3] + [g[::-1] for g in groups[3:6]]
+        groups = [groups[i] for i in rng.permutation(len(groups))]
+        assert any(g != sorted(g) for g in groups)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            assert raster.grouped_lp_power(groups, p) == self.per_group_unique(raster, groups, p)
+
+    def test_bush_coarse_groups_equal_per_group_unique(self):
+        F = suite_member("bush-n3").family(2.0**-4)
+        raster = FamilyRaster.build(F, Grid.for_family(F, 4))
+        groups: dict[int, list[int]] = {}
+        for fi, assigned in enumerate(coarsen_to_rho_tubes(F, DECOMPOSE_RHO).assignment):
+            for ci in assigned:
+                groups.setdefault(ci, []).append(fi)
+        # Every group holds one tube, and each tube lies in several groups.
+        assert all(len(g) == 1 for g in groups.values()) and len(groups) > len(F)
+        got = raster.grouped_lp_power(groups.values(), F.p)
+        assert got == self.per_group_unique(raster, groups.values(), F.p)
+
+
 class TestDecompose:
     def test_single_cap_family_puts_norm_in_cap_term(self):
         delta = 2.0**-5
@@ -406,6 +543,68 @@ class TestCoarsening:
             _, counts = np.unique(np.concatenate([cells[t] for t in fine]), return_counts=True)
             rhs += float(np.sum(counts.astype(float) ** p)) * G.cell_volume
         assert lhs <= 10.0 * rhs
+
+
+def per_offset_coarsening(F, rho):
+    """The scalar coarsening loop: every (tube, cap, axial shift, lattice
+    offset) candidate tested on its own.  Returns (assignment, centers)."""
+    n, delta, trans = F.n, F.delta, rho / 4.0
+    cover = build_cap_cover(n, rho / 2.0)
+    bases = {i: complete_orthonormal(c.u[None], n)[1:] for i, c in enumerate(cover.centers)}
+    box = np.stack(np.meshgrid(*([np.arange(-1, 2)] * (n - 1)), indexing="ij"), axis=-1).reshape(-1, n - 1)
+    index: dict[tuple, int] = {}
+    centers, assignment = [], []
+    for tube in F.tubes:
+        got = []
+        e0, e1 = tube.endpoints
+        for ci in cover.caps_containing(tube.direction):
+            w, Q = cover.centers[int(ci)].u, bases[int(ci)]
+            t_along = float(np.dot(tube.segment_center, w))
+            base_j = np.round(Q @ tube.segment_center / trans).astype(np.int64)
+            for a in (round(t_along) - 1, round(t_along), round(t_along) + 1):
+                for off in box:
+                    j = base_j + off
+                    center = a * w + Q.T @ (j * trans)
+                    dists = segment_point_distances(np.stack([e0, e1]), center, w, COARSE_LENGTH)
+                    if float(dists.max()) <= rho - delta + 1e-12:
+                        key = (int(ci), int(a)) + tuple(int(v) for v in j)
+                        if key not in index:
+                            index[key] = len(centers)
+                            centers.append(center)
+                        if index[key] not in got:
+                            got.append(index[key])
+        assignment.append(tuple(sorted(got)))
+    return tuple(assignment), centers
+
+
+class TestCoarseningAgainstScalarLoop:
+    @pytest.mark.parametrize("name", ["bush-n3", "planes-n3-d1-b05", "random-n2-d1"])
+    @pytest.mark.parametrize("delta", [2.0**-4, 2.0**-5])
+    def test_assignment_and_centers_equal(self, name, delta):
+        F = suite_member(name).family(delta)
+        co = coarsen_to_rho_tubes(F, DECOMPOSE_RHO)
+        assignment, centers = per_offset_coarsening(F, DECOMPOSE_RHO)
+        assert co.assignment == assignment
+        assert len(co.coarse_tubes) == len(centers)
+        for C, center in zip(co.coarse_tubes, centers):
+            assert C.segment_center.tobytes() == center.tobytes()
+
+    def test_uncontained_tube_named(self, monkeypatch):
+        delta = 2.0**-5
+        F = family([Tube([0.0, 0.0], Direction([1.0, 0.0]), delta)] * 2, delta, 2)
+        monkeypatch.setattr(functionals, "COARSE_LENGTH", 0.5)
+        with pytest.raises(GeometryError, match=r"fine tube 0 not contained"):
+            coarsen_to_rho_tubes(F, 0.25)
+
+    def test_overlap_bound_names_tube(self, monkeypatch):
+        delta = 2.0**-5
+        tubes = [Tube([0.1, 0.0], Direction([1.0, 1.0]), delta), Tube([0.0, 0.0], Direction([1.0, 0.0]), delta)]
+        F = family(tubes, delta, 2)
+        sizes = [len(a) for a in coarsen_to_rho_tubes(F, 0.25).assignment]
+        assert sizes[0] < sizes[1]
+        monkeypatch.setattr(functionals, "coarse_overlap_bound", lambda n: sizes[0])
+        with pytest.raises(GeometryError, match=rf"fine tube 1 assigned to {sizes[1]} coarse tubes, bound is {sizes[0]}"):
+            coarsen_to_rho_tubes(F, 0.25)
 
 
 class TestRescaling:
