@@ -13,17 +13,19 @@ the query lines are ever materialized; balls away from every line are empty
 and cannot attain the maximum of any scan.
 
 One routine, `BallNet._incidences`, finds every (center, line) candidate
-pair as arrays: lattice feet in a budget box per (line, net direction) pair,
+pair as arrays, at one radius or at several in one pass: lattice feet in a
+budget box per (line, net direction) pair, foot bases from each net's table,
 distinct centers by one `np.unique`.  A scan is a `bincount` over the pairs
-within r + 1e-12; incremental counts and the coverage and overlap probes read
-the same arrays for one line, so every membership test compares the same
-distances with r + 1e-12.
+within r + 1e-12; incremental counts (all radii at once) and the coverage and
+overlap probes read the same arrays for one line, so every membership test
+compares the same distances with r + 1e-12.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -43,13 +45,14 @@ def concentration_exponent(d: int, beta: float) -> float:
 
 
 def _line_arrays(lines) -> tuple[np.ndarray, np.ndarray]:
-    feet = np.stack([l.x for l in lines])
-    dirs = np.stack([l.u.u for l in lines])
+    feet = np.array([l.x for l in lines])
+    dirs = np.array([l.u.u for l in lines])
     return feet, dirs
 
 
 #: Largest direction net, in rows, that `BallNet` builds for n >= 4; each
-#: net is kept per radius with a memoized foot basis per row it touches.
+#: net is kept per radius with a table of the foot bases of the rows it has
+#: touched.
 MAX_NET_ROWS = 2_000_000
 
 
@@ -102,34 +105,48 @@ class BallNet:
             self._nets[r] = net
         return self._nets[r]
 
-    def _incidences(self, r: float, feet: np.ndarray, dirs: np.ndarray):
-        """Every candidate (center, line) pair at radius r, as arrays.
+    def _incidences(self, radii, feet: np.ndarray, dirs: np.ndarray):
+        """Every candidate (center, line) pair at the given radii, as arrays.
 
         Returns (centers, center_of, dist): the distinct candidate centers
-        as int64 rows (w_idx, *j) in lexicographic order, and for each pair
-        its center's index and its distance |x - x'| + wedge.  A line's
-        candidates are, for every net row within asin(r) of its direction,
-        the lattice feet in the box |j r/2 - Q x| <= r - wedge around its
-        projected foot, so every center within r of the line is one of them.
-        A center appears at most once per line.
+        as int64 rows (radius index, w_idx, *j) in lexicographic order, and
+        for each pair its center's index and its distance |x - x'| + wedge.
+        A line's candidates at radius r are, for every net row within
+        asin(r) of its direction, the lattice feet in the box
+        |j r/2 - Q x| <= r - wedge around its projected foot, so every center
+        within r of the line is one of them.  A center appears at most once
+        per line.
         """
-        net = self._net(r)
+        # Distinct directions by one lexsort: one `within` per direction and radius.
+        order = np.lexsort(dirs.T)
+        sorted_dirs = dirs[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (sorted_dirs[1:] != sorted_dirs[:-1]).any(axis=1)
+        dir_of = np.empty(len(order), dtype=np.int64)
+        dir_of[order] = np.cumsum(new) - 1
+        udirs = sorted_dirs[new]
+        # (line, net row) pairs, radius by radius.  Rows are numbered across
+        # the radii's nets, so `row` orders pairs by (radius index, w_idx).
+        parts = []
+        offset = 0
+        for k, r in enumerate(radii):
+            net = self._net(r)
+            max_angle = math.asin(r) if r < 1.0 else math.pi / 2.0
+            near = [net.within(u, max_angle) for u in udirs]
+            w = np.concatenate([near[i] for i in dir_of])
+            line_of = np.repeat(np.arange(len(feet)), [near[i].size for i in dir_of])
+            parts.append((np.full(w.size, k), w, w + offset, line_of, net.complements(w), net.rows[w]))
+            offset += len(net)
+        ri, w, row, line_of, bases, rdirs = (np.concatenate(a) for a in zip(*parts))
+        r = np.asarray(radii)[ri]
         g = r / 2.0
-        max_angle = math.asin(r) if r < 1.0 else math.pi / 2.0
-        # (line, net row) pairs, one `within` per distinct direction.
-        udirs, dir_of = np.unique(dirs, axis=0, return_inverse=True)
-        near = [net.within(u, max_angle) for u in udirs]
-        line_of = np.repeat(np.arange(len(feet)), [near[k].size for k in dir_of])
-        w = np.concatenate([near[k] for k in dir_of])
-        dots = np.clip(np.abs(np.einsum("ij,ij->i", net.rows[w], dirs[line_of])), 0.0, 1.0)
-        wedge = np.sqrt(np.clip(1.0 - dots**2, 0.0, 1.0))
+        dots = np.einsum("ij,ij->i", rdirs, dirs[line_of])
+        wedge = np.sqrt(np.maximum(1.0 - dots**2, 0.0))
         # Lattice feet in each pair's budget box, expanded with repeat/arange.
-        uw, w_at = np.unique(w, return_inverse=True)
-        bases = np.stack([net.complement(int(i)) for i in uw])
-        y = np.einsum("pij,pj->pi", bases[w_at], feet[line_of])
+        y = np.einsum("pij,pj->pi", bases, feet[line_of])
         budget = (r - wedge)[:, None]
-        los = np.ceil((y - budget) / g - 1e-9).astype(np.int64)
-        sides = np.maximum(np.floor((y + budget) / g + 1e-9).astype(np.int64) - los + 1, 0)
+        los = np.ceil((y - budget) / g[:, None] - 1e-9).astype(np.int64)
+        sides = np.maximum(np.floor((y + budget) / g[:, None] + 1e-9).astype(np.int64) - los + 1, 0)
         size = sides.prod(axis=1)
         pair_of = np.repeat(np.arange(size.size), size)
         t = np.arange(pair_of.size) - np.repeat(np.cumsum(size) - size, size)
@@ -137,16 +154,17 @@ class BallNet:
         for c in range(self.n - 2, -1, -1):
             j[:, c] = los[pair_of, c] + t % sides[pair_of, c]
             t //= sides[pair_of, c]
-        # Distinct centers: pack (w_idx, *j) in mixed radix, w_idx first.
+        # Distinct centers: pack (row, *j) in mixed radix, row first.
         lo = j.min(axis=0)
         spans = (j.max(axis=0) - lo + 1).tolist()
-        if len(net) * math.prod(spans) >= 2**63:
-            raise OverflowError(f"candidate lattice at r = {r:g} spans {spans} feet; lines too far apart")
+        if offset * math.prod(spans) >= 2**63:
+            raise OverflowError(f"candidate lattice at r = {min(radii):g} spans {spans} feet; lines too far apart")
         strides = np.array([math.prod(spans[c + 1 :]) for c in range(len(spans))], dtype=np.int64)
-        packed = w[pair_of] * math.prod(spans) + (j - lo) @ strides
+        packed = row[pair_of] * math.prod(spans) + (j - lo) @ strides
         _, first, center_of = np.unique(packed, return_index=True, return_inverse=True)
-        centers = np.column_stack([w[pair_of[first]], j[first]])
-        cfeet = np.einsum("kij,ki->kj", bases[w_at[pair_of[first]]], centers[:, 1:] * g)
+        at = pair_of[first]
+        centers = np.column_stack([ri[at], w[at], j[first]])
+        cfeet = np.einsum("kij,ki->kj", bases[at], j[first] * g[at, None])
         dist = np.linalg.norm(cfeet[center_of] - feet[line_of[pair_of]], axis=1) + wedge[pair_of]
         return centers, center_of, dist
 
@@ -156,8 +174,8 @@ class BallNet:
 
         Returns {key: (w_idx, j_tuple)} in sorted key order.
         """
-        centers = self._incidences(r, feet, dirs)[0]
-        return {(r, *c): (c[0], tuple(c[1:])) for c in centers.tolist()}
+        centers = self._incidences((r,), feet, dirs)[0]
+        return {(r, *c[1:]): (c[1], tuple(c[2:])) for c in centers.tolist()}
 
     def center_line(self, r: float, w_idx: int, j: tuple) -> Line:
         net = self._net(r)
@@ -169,19 +187,19 @@ class BallNet:
 
         Returns (max value, key of the first attaining ball in key order).
         """
-        centers, center_of, dist = self._incidences(r, feet, dirs)
+        centers, center_of, dist = self._incidences((r,), feet, dirs)
         counts = np.bincount(center_of[dist <= r + 1e-12], minlength=len(centers))
         best = int(np.argmax(counts))
-        return float(counts[best]), (r, *centers[best].tolist())
+        return float(counts[best]), (r, *centers[best, 1:].tolist())
 
     def nearest_center_distance(self, r: float, line: Line) -> float:
         """Distance from a line to its nearest net center at radius r (coverage probe)."""
-        dist = self._incidences(r, *_line_arrays([line]))[2]
+        dist = self._incidences((r,), line.x[None], line.u.u[None])[2]
         return float(dist.min()) if dist.size else math.inf
 
     def balls_containing(self, r: float, line: Line) -> int:
         """Number of net balls of radius r containing the line (overlap probe)."""
-        dist = self._incidences(r, *_line_arrays([line]))[2]
+        dist = self._incidences((r,), line.x[None], line.u.u[None])[2]
         return int(np.count_nonzero(dist <= r + 1e-12))
 
 
@@ -240,32 +258,64 @@ class IncrementalBallCounter:
 
     Used by rejection sampling: adding a line touches exactly the net balls
     containing it, so the updated counts are the only ones that can newly
-    violate a threshold.
+    violate a threshold.  One `_incidences` call over all radii finds them.
+
+    Counts are kept under int64 keys that pack the ball (radius index,
+    w_idx, *j) in a fixed mixed radix: net rows numbered across the radii,
+    then each foot index offset into `2**bits` values.  `counts` gives them
+    back under tuple keys (r, w_idx, *j).
     """
 
     def __init__(self, net: BallNet, delta: float, d: int, beta: float):
         self.net = net
         self.s = concentration_exponent(d, beta)
         self.delta = delta
-        self.counts: dict[tuple, int] = {}
+        self._bounds = np.array([(r / delta) ** self.s * (1.0 + 1e-12) for r in net.radii])
+        self._limits = np.array([r + 1e-12 for r in net.radii])
+        sizes = [len(net._net(r)) for r in net.radii]
+        self._row_offset = np.concatenate([[0], np.cumsum(sizes)])
+        self._bits = (63 - int(self._row_offset[-1]).bit_length()) // (net.n - 1)
+        self._radix = 1 << (self._bits * (net.n - 1))
+        self._strides = np.array([1 << (self._bits * c) for c in range(net.n - 2, -1, -1)], dtype=np.int64)
+        self._counts: dict[int, int] = {}
+
+    def _containing(self, line: Line) -> np.ndarray:
+        """Rows (radius index, w_idx, *j) of every net ball containing the line, in key order."""
+        centers, center_of, dist = self.net._incidences(self.net.radii, line.x[None], line.u.u[None])
+        return centers[np.sort(center_of[dist <= self._limits[centers[center_of, 0]]])]
 
     def _containing_keys(self, line: Line) -> list[tuple]:
-        """Keys of every net ball containing the line, radius by radius in key order."""
-        found = []
-        for r in self.net.radii:
-            centers, center_of, dist = self.net._incidences(r, *_line_arrays([line]))
-            found += [(r, *c) for c in centers[np.sort(center_of[dist <= r + 1e-12])].tolist()]
-        return found
+        """Keys (r, w_idx, *j) of every net ball containing the line, in key order."""
+        radii = self.net.radii
+        return [(radii[c[0]], *c[1:]) for c in self._containing(line).tolist()]
+
+    def _pack(self, balls: np.ndarray) -> np.ndarray:
+        half = 1 << (self._bits - 1)
+        j = balls[:, 2:]
+        if j.size and (j.min() < -half or j.max() >= half):
+            raise OverflowError(f"foot index beyond +-{half} at delta = {self.delta:g}; line too far out")
+        row = self._row_offset[balls[:, 0]] + balls[:, 1]
+        return row * self._radix + (j + half) @ self._strides
+
+    @property
+    def counts(self) -> dict[tuple, int]:
+        """The nonzero counts under tuple keys (r, w_idx, *j)."""
+        keys = np.fromiter(self._counts, dtype=np.int64, count=len(self._counts))
+        row, rest = np.divmod(keys, self._radix)
+        k = np.searchsorted(self._row_offset, row, side="right") - 1
+        j = rest[:, None] // self._strides % (1 << self._bits) - (1 << (self._bits - 1))
+        balls = np.column_stack([k, row - self._row_offset[k], j]).tolist()
+        radii = self.net.radii
+        return {(radii[b[0]], *b[1:]): c for b, c in zip(balls, self._counts.values())}
 
     def try_add(self, line: Line) -> bool:
         """Add the line if every touched ball stays within its bound."""
-        keys = self._containing_keys(line)
-        for key in keys:
-            r = key[0]
-            if self.counts.get(key, 0) + 1 > (r / self.delta) ** self.s * (1.0 + 1e-12):
-                return False
-        for key in keys:
-            self.counts[key] = self.counts.get(key, 0) + 1
+        balls = self._containing(line)
+        keys = self._pack(balls).tolist()
+        held = np.fromiter(map(self._counts.get, keys, repeat(0)), dtype=np.int64, count=len(keys))
+        if np.any(held + 1 > self._bounds[balls[:, 0]]):
+            return False
+        self._counts.update(zip(keys, (held + 1).tolist()))
         return True
 
 

@@ -6,7 +6,9 @@ origin) plus the unsigned area of the parallelogram spanned by their unit
 directions.  Lines are unoriented, so directions carry a canonical sign.
 
 All types are immutable after construction and every operation is a pure
-function, so everything here is safe to use from parallel workers.
+function, so everything here is safe to use from parallel worker processes.
+The one exception is the foot-basis table that a `SphereNet` fills on
+demand; it takes no lock, so one net is not shared between threads.
 """
 
 from __future__ import annotations
@@ -334,6 +336,50 @@ def complete_orthonormal(rows, n: int) -> np.ndarray:
     return np.stack(basis)
 
 
+def _complete_unit_rows(rows: np.ndarray) -> np.ndarray:
+    """`complete_orthonormal(row[None], n)` for every row at once, shape (N, n, n).
+
+    Performs the same operations in the same order, so each basis is bit for
+    bit the one of `complete_orthonormal`: dot products and norms are stacked
+    `matmul` calls, which take each row's product in the same way as
+    `np.dot` (an `einsum` or a `sum` over an axis can differ in the last bit).
+    """
+    N, n = rows.shape
+    basis = np.zeros((N, n, n))
+    basis[:, 0] = rows
+    count = np.ones(N, dtype=np.int64)
+    for i in range(n):
+        active = np.flatnonzero(count < n)
+        if active.size == 0:
+            break
+        e = np.zeros((active.size, n))
+        e[:, i] = 1.0
+        held = count[active]
+        for s in range(int(held.max())):
+            m = np.flatnonzero(held > s)
+            sub, r = e[m], basis[active[m], s]
+            e[m] = sub - (sub[:, None, :] @ r[:, :, None])[:, 0] * r
+        norm = np.sqrt((e[:, None, :] @ e[:, :, None])[:, 0, 0])
+        keep = norm > 1e-8
+        grow = active[keep]
+        basis[grow, count[grow]] = e[keep] / norm[keep, None]
+        count[grow] += 1
+    return basis
+
+
+def _runs(spans) -> np.ndarray:
+    """Sorted distinct indices covered by half-open runs [a, b)."""
+    merged: list[list[int]] = []
+    for a, b in sorted(s for s in spans if s[0] < s[1]):
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    if len(merged) == 1:
+        return np.arange(*merged[0])
+    return np.concatenate([np.arange(a, b) for a, b in merged] or [np.empty(0, np.int64)])
+
+
 def segment_point_distances(points: np.ndarray, center: np.ndarray, u: np.ndarray, length: float) -> np.ndarray:
     """Distances from points (m, n) to the segment center +- (length/2) u.
 
@@ -371,7 +417,10 @@ class SphereNet:
 
     def __init__(self, dim: int, alpha: float):
         self.dim = int(dim)
-        self._complements: dict[int, np.ndarray] = {}
+        # Foot-basis table of `complements`: row i's basis is _table[_slot[i]].
+        self._slot: np.ndarray | None = None
+        self._table = np.empty((0, self.dim - 1, self.dim))
+        self._filled = 0
         if self.dim == 2:
             m = max(int(math.ceil(math.pi / alpha)), 1)
             self.spacing = 2.0 * math.pi / m
@@ -402,45 +451,69 @@ class SphereNet:
         """Sorted indices of the rows whose unoriented angle to u is <= angle.
 
         Only a window of candidates is tested with |row . u| >= cos(angle):
-        on the circle the rows whose angle lies within `angle` of u or -u; in
-        higher dimension the rings whose polar angle lies within `angle` of
-        that of u or -u, one contiguous run of rows on each side.
+        on the circle the rows whose angle lies within `angle` of u or -u, two
+        runs of indices taken mod m; in higher dimension the rings whose polar
+        angle lies within `angle` of that of u or -u, one contiguous run of
+        rows on each side.
         """
         angle = min(angle, math.pi / 2.0)
         cos_bound = math.cos(min(angle + 1e-12, math.pi / 2.0))
+        spans = []
         if self.dim == 2:
             m = len(self)
             phi = math.atan2(u[1], u[0])
-            idx = []
             for target in (phi, phi + math.pi):
                 lo = int(math.ceil((target - angle) / self.spacing - 0.5 - 1e-9))
-                hi = int(math.floor((target + angle) / self.spacing - 0.5 + 1e-9))
-                idx.extend(range(lo, hi + 1))
-            cand = np.unique(np.mod(np.array(idx, dtype=np.int64), m))
+                hi = int(math.floor((target + angle) / self.spacing - 0.5 + 1e-9)) + 1
+                if hi - lo >= m:
+                    spans = [(0, m)]
+                    break
+                a = lo % m
+                b = a + max(hi - lo, 0)
+                spans += [(a, min(b, m)), (0, b - m)]
         else:
             # The angle between two points is at least the difference of
             # their polar angles; the slack covers acos roundoff at the poles.
             theta_u = math.acos(max(-1.0, min(1.0, float(u[-1]))))
-            runs = []
-            for target in sorted((theta_u, math.pi - theta_u)):
+            for target in (theta_u, math.pi - theta_u):
                 lo = np.searchsorted(self.ring_theta, target - angle - 1e-6, side="left")
                 hi = np.searchsorted(self.ring_theta, target + angle + 1e-6, side="right")
-                if lo < hi:
-                    runs.append([int(self.ring_offset[lo]), int(self.ring_offset[hi])])
-            if len(runs) == 2 and runs[1][0] <= runs[0][1]:
-                runs = [[runs[0][0], max(runs[0][1], runs[1][1])]]
-            cand = np.concatenate([np.arange(a, b) for a, b in runs] or [np.empty(0, np.int64)])
+                spans.append((int(self.ring_offset[lo]), int(self.ring_offset[hi])))
+        cand = _runs(spans)
         dots = np.abs(self.rows[cand] @ u)
         return cand[dots >= cos_bound]
 
+    def complements(self, idx: np.ndarray) -> np.ndarray:
+        """Foot bases of the rows idx, shape (len(idx), dim-1, dim): entry k
+        is `complement(idx[k])`.
+
+        The bases live in a table that holds only the rows asked for so far;
+        rows missing from it are filled in one `_complete_unit_rows` batch.
+        """
+        if self._slot is None:
+            self._slot = np.full(len(self), -1, dtype=np.int64)
+        slot = self._slot[idx]
+        missing = slot < 0
+        if missing.any():
+            self._fill(np.unique(idx[missing]))
+            slot = self._slot[idx]
+        return self._table[slot]
+
+    def _fill(self, rows: np.ndarray) -> None:
+        start, stop = self._filled, self._filled + rows.size
+        if stop > len(self._table):
+            grown = np.empty((max(stop, 2 * len(self._table)), self.dim - 1, self.dim))
+            grown[:start] = self._table[:start]
+            self._table = grown
+        self._table[start:stop] = _complete_unit_rows(self.rows[rows])[:, 1:]
+        self._slot[rows] = np.arange(start, stop)
+        self._filled = stop
+
     def complement(self, i: int) -> np.ndarray:
         """Orthonormal basis, shape (dim-1, dim), of the hyperplane orthogonal
-        to row i: the rows after the first of `complete_orthonormal`.  Memoized."""
-        basis = self._complements.get(i)
-        if basis is None:
-            basis = complete_orthonormal(self.rows[i][None], self.dim)[1:]
-            self._complements[i] = basis
-        return basis
+        to row i: the rows after the first of `complete_orthonormal`, read
+        from the table of `complements`."""
+        return self.complements(np.array([i]))[0]
 
 
 @dataclass(frozen=True)

@@ -70,10 +70,20 @@ def _bush_member(name: str, n: int, k: int) -> SuiteMember:
     return SuiteMember(name, n, 1, 1.0, k, lambda d: [build(d)] * k, build)
 
 
+#: Complete random families drawn in this process, keyed by the generator
+#: function and its arguments.  `TubeFamily` is immutable, so every caller can
+#: share one draw; an incomplete family raises before it is stored.
+_RANDOM_FAMILIES: dict[tuple, TubeFamily] = {}
+
+
 def _random_member(name: str, n: int, d: int, beta: float, k: int, seeds) -> SuiteMember:
     def draw(delta: float, seed: int) -> TubeFamily:
-        res = gen_random_nonconcentrated(n, d, beta, delta, seed=seed)
-        return complete_family(res, f"suite member {name}", seed)
+        # The generator is looked up at call time, so a replaced one gets its own entries.
+        key = (gen_random_nonconcentrated, n, d, beta, float(delta), seed)
+        if key not in _RANDOM_FAMILIES:
+            res = gen_random_nonconcentrated(n, d, beta, delta, seed=seed)
+            _RANDOM_FAMILIES[key] = complete_family(res, f"suite member {name}", seed)
+        return _RANDOM_FAMILIES[key]
 
     def families(delta: float) -> list[TubeFamily]:
         fams = [draw(delta, s) for s in seeds]

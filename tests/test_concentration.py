@@ -150,6 +150,78 @@ class TestIncidenceConsumers:
             assert largest == net.scan(r, feet, dirs)[0]
 
 
+class PerRadiusCounter:
+    """The incremental counter radius by radius, with tuple keys (r, w_idx, *j):
+    one `_incidences` call per radius, one dict lookup per key."""
+
+    def __init__(self, net, delta, d, beta):
+        self.net, self.delta, self.s = net, delta, 2.0 * (d - 1) + beta
+        self.counts = {}
+
+    def keys(self, line):
+        found = []
+        for r in self.net.radii:
+            centers, center_of, dist = self.net._incidences((r,), line.x[None], line.u.u[None])
+            found += [(r, *c[1:]) for c in centers[np.sort(center_of[dist <= r + 1e-12])].tolist()]
+        return found
+
+    def violations(self, line):
+        """Radii at which adding the line would break a bound."""
+        return sorted(
+            {key[0] for key in self.keys(line) if self.counts.get(key, 0) + 1 > (key[0] / self.delta) ** self.s * (1.0 + 1e-12)}
+        )
+
+    def try_add(self, line):
+        keys = self.keys(line)
+        for key in keys:
+            if self.counts.get(key, 0) + 1 > (key[0] / self.delta) ** self.s * (1.0 + 1e-12):
+                return False
+        for key in keys:
+            self.counts[key] = self.counts.get(key, 0) + 1
+        return True
+
+
+class TestBatchedCounter:
+    """One incidence pass over all radii and packed keys make the decisions
+    and end with the counts of the per-radius counter."""
+
+    NETS = {2: BallNet.build(2, 2.0**-4), 3: BallNet.build(3, 2.0**-3)}
+
+    @given(
+        st.sampled_from([2, 3]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.5, 1.0]),
+        st.sampled_from([0.05, 0.2, 0.6]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_same_decisions_and_counts(self, n, seed, beta, spread):
+        net = self.NETS[n]
+        rng = np.random.default_rng(seed)
+        lines = clustered_lines(rng, 10, n, spread) + random_lines(rng, 4, n, max_foot=0.5)
+        lines += [lines[i] for i in rng.integers(len(lines), size=3)]
+        counter = IncrementalBallCounter(net, net.delta, 1, beta)
+        reference = PerRadiusCounter(net, net.delta, 1, beta)
+        for line in lines:
+            assert counter._containing_keys(line) == reference.keys(line)
+            assert counter.try_add(line) == reference.try_add(line)
+        assert counter.counts == reference.counts
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_line_rejected_at_one_radius(self, n):
+        """A repeated line breaks only the r = delta bound of 1 at beta = 1;
+        every larger radius still has room for it."""
+        net = self.NETS[n]
+        line = random_lines(np.random.default_rng(n), 1, n, max_foot=0.5)[0]
+        counter = IncrementalBallCounter(net, net.delta, 1, 1.0)
+        reference = PerRadiusCounter(net, net.delta, 1, 1.0)
+        assert counter.try_add(line) and reference.try_add(line)
+        assert reference.violations(line) == [net.delta]
+        assert not counter.try_add(line)
+        assert not reference.try_add(line)
+        assert counter.counts == reference.counts
+        assert set(counter.counts.values()) == {1}
+
+
 class TestLimits:
     def test_direction_net_limit_names_its_inputs(self, monkeypatch):
         monkeypatch.setattr(concentration, "MAX_NET_ROWS", 1000)
@@ -157,6 +229,15 @@ class TestLimits:
         feet, dirs = np.zeros((1, 4)), np.eye(4)[:1]
         with pytest.raises(MemoryError, match=r"n = 4 at r = 1 has 6288 rows, above MAX_NET_ROWS = 1000; use a larger delta"):
             net.scan(1.0, feet, dirs)
+
+    def test_counter_key_beyond_its_radix_fails_loudly(self):
+        """A foot index outside the counter's fixed radix raises rather than
+        wrapping into another ball's key."""
+        counter = IncrementalBallCounter(BallNet.build(3, 2.0**-3), 2.0**-3, 1, 1.0)
+        u = Direction([1.0, 0.0, 0.0])
+        assert counter.try_add(Line(u, [0.0, 4e5, 0.0]))
+        with pytest.raises(OverflowError, match="too far out"):
+            counter.try_add(Line(u, [0.0, 6e5, 0.0]))
 
     def test_unpackable_lattice_fails_loudly(self):
         net = BallNet.build(3, 0.5)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tubelab import linegeom
 from tubelab.linegeom import (
     Direction,
     GeometryError,
@@ -336,14 +337,70 @@ class TestSphereNet:
         u = random_units(np.random.default_rng(seed), 1, n)[0]
         assert float((net.rows @ u).max()) >= math.cos(alpha)
 
-    def test_complement_is_orthonormal_and_orthogonal(self):
+    def test_complement_is_orthonormal_and_orthogonal(self, monkeypatch):
+        fills = []
+        complete_unit_rows = linegeom._complete_unit_rows
+
+        def counting(rows):
+            fills.append(len(rows))
+            return complete_unit_rows(rows)
+
+        monkeypatch.setattr(linegeom, "_complete_unit_rows", counting)
         net = SphereNet(4, 0.5)
         for i in (0, len(net) // 2, len(net) - 1):
             q = net.complement(i)
             assert q.shape == (3, 4)
             np.testing.assert_allclose(q @ q.T, np.eye(3), atol=1e-12)
             np.testing.assert_allclose(q @ net.rows[i], 0.0, atol=1e-12)
-            assert net.complement(i) is q
+            assert q.tobytes() == complete_orthonormal(net.rows[i][None], 4)[1:].tobytes()
+            before = len(fills)
+            assert net.complement(i).tobytes() == q.tobytes()
+            assert len(fills) == before
+        assert fills == [1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "n, alpha",
+        [(2, 2.0**-11), (2, 2.0**-8), (2, 0.25), (3, 2.0**-6), (3, 2.0**-5), (3, 2.0**-3), (3, 0.25), (4, 0.25), (4, 0.5)],
+    )
+    def test_basis_table_matches_complete_orthonormal_bytes(self, n, alpha):
+        """Every row of the batched foot-basis table is bit for bit the
+        completion of `complete_orthonormal`, the scalar reference; a table
+        filled in several batches, in any order, holds the same bytes."""
+        net = SphereNet(n, alpha)
+        want = np.stack([complete_orthonormal(row[None], n)[1:] for row in net.rows])
+        half = np.random.default_rng(n).permutation(len(net))[: len(net) // 2]
+        assert net.complements(half).tobytes() == want[half].tobytes()
+        assert net.complements(np.arange(len(net))).tobytes() == want.tobytes()
+
+    @staticmethod
+    def _circle_within_loop(net, u, angle):
+        """`SphereNet.within` for dim 2 as a loop over Python ranges."""
+        angle = min(angle, math.pi / 2.0)
+        cos_bound = math.cos(min(angle + 1e-12, math.pi / 2.0))
+        m = len(net)
+        phi = math.atan2(u[1], u[0])
+        idx = []
+        for target in (phi, phi + math.pi):
+            lo = int(math.ceil((target - angle) / net.spacing - 0.5 - 1e-9))
+            hi = int(math.floor((target + angle) / net.spacing - 0.5 + 1e-9))
+            idx.extend(range(lo, hi + 1))
+        cand = np.unique(np.mod(np.array(idx, dtype=np.int64), m))
+        dots = np.abs(net.rows[cand] @ u)
+        return cand[dots >= cos_bound]
+
+    @pytest.mark.parametrize("alpha", [2.0**-12, 2.0**-6, 0.25, 1.0, 3.0])
+    def test_circle_within_matches_range_loop(self, alpha):
+        net = SphereNet(2, alpha)
+        rng = np.random.default_rng(17)
+        near_wrap = [math.pi - 1e-3, -math.pi + 1e-3, math.pi, 1e-4, -1e-4, 0.0, math.pi / 2.0]
+        phis = list(rng.uniform(-math.pi, math.pi, 30)) + near_wrap
+        phis += [(i + 0.5) * net.spacing for i in range(-1, 2)] + [i * net.spacing for i in range(-1, 2)]
+        angles = [0.0, 1e-3, alpha / 3.0, alpha, 0.9, math.pi / 2.0, 2.0, math.pi]
+        for phi in phis:
+            u = np.array([math.cos(phi), math.sin(phi)])
+            for angle in angles:
+                got = net.within(u, angle)
+                assert got.tolist() == self._circle_within_loop(net, u, angle).tolist(), (phi, angle)
 
 
 class TestCapCover:

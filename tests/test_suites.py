@@ -40,6 +40,32 @@ def test_incomplete_random_family_rejected(monkeypatch):
         member.mk_families(2.0**-4)
 
 
+def test_random_family_drawn_once_per_process(monkeypatch):
+    """Suite members share one complete draw per (generator, delta, seed);
+    an incomplete draw is never kept."""
+    real = suites.gen_random_nonconcentrated
+    calls = []
+
+    def partial(n, d, beta, delta, seed=0):
+        res = real(n, d, beta, delta, seed=seed)
+        return RandomFamilyResult(res.family, complete=False, draws=res.draws)
+
+    def counting(n, d, beta, delta, seed=0):
+        calls.append((n, delta, seed))
+        return real(n, d, beta, delta, seed=seed)
+
+    member = suites.suite_member("random-n2-d1")
+    monkeypatch.setattr(suites, "gen_random_nonconcentrated", partial)
+    for _ in range(2):
+        with pytest.raises(suites.IncompleteFamilyError):
+            member.family(2.0**-5)
+    monkeypatch.setattr(suites, "gen_random_nonconcentrated", counting)
+    F = member.family(2.0**-5)
+    assert all(f is F for f in member.mk_families(2.0**-5))
+    assert suites.suite_member("random-n2-d1").family(2.0**-5) is F
+    assert calls == [(2, 2.0**-5, 11)]
+
+
 def test_incomplete_family_error_shared_with_generators():
     assert suites.IncompleteFamilyError is generators.IncompleteFamilyError
 
