@@ -64,12 +64,10 @@ from .functionals import (
     rescale_into_ball,
 )
 from .generators import (
-    GeneratorSpec,
     gen_axes,
     gen_bush,
     gen_lines_in_planes,
     gen_random_nonconcentrated,
-    generate,
 )
 
 __all__ = [
@@ -81,7 +79,6 @@ __all__ = [
     "Direction",
     "DirectionMultiset",
     "ExponentFit",
-    "GeneratorSpec",
     "GeometryError",
     "Grid",
     "Line",
@@ -107,7 +104,6 @@ __all__ = [
     "gen_bush",
     "gen_lines_in_planes",
     "gen_random_nonconcentrated",
-    "generate",
     "holder_comparison",
     "induction_step_terms",
     "line_metric",

@@ -45,7 +45,7 @@ from .dimension import (
     holder_comparison,
 )
 from .functionals import Grid
-from .generators import GeneratorSpec, cantor_offsets, gen_lines_in_planes
+from .generators import cantor_offsets, gen_lines_in_planes
 from .linegeom import Direction, Line
 from .suites import (
     DECOMPOSE_DELTAS,
@@ -70,15 +70,17 @@ class ConfigError(ValueError):
 GRID_FACTORS = range(2, 9)
 
 
+def _is_integral(x) -> bool:
+    """True for an int or an integral float; False for a bool or anything else."""
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or (isinstance(x, float) and x.is_integer())
+
+
 def _check_grid_factor(factor, source: str) -> int:
     """`factor` as an int if it is one of GRID_FACTORS; a ConfigError naming
     `source` and the accepted factors otherwise."""
-    if (
-        isinstance(factor, bool)
-        or not isinstance(factor, (int, float))
-        or not float(factor).is_integer()
-        or int(factor) not in GRID_FACTORS
-    ):
+    if not _is_integral(factor) or int(factor) not in GRID_FACTORS:
         factors = ", ".join(str(k) for k in GRID_FACTORS)
         steps = ", ".join(f"1/{k}" for k in GRID_FACTORS)
         raise ConfigError(
@@ -150,17 +152,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"a scenario entry must be a JSON object, got {data!r}")
         extra = set(data) - {"name", "scenario", "seed", "params"}
         if extra:
             raise ConfigError(f"unknown config keys {sorted(extra)}")
         missing = {"name", "scenario"} - set(data)
         if missing:
             raise ConfigError(f"config missing keys {sorted(missing)}")
+        seed = data.get("seed", 0)
+        if not _is_integral(seed):
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
+        params = data.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"params must be a JSON object, got {params!r}")
         return cls(
             name=str(data["name"]),
             scenario=str(data["scenario"]),
-            seed=int(data.get("seed", 0)),
-            params=dict(data.get("params", {})),
+            seed=int(seed),
+            params=dict(params),
         )
 
 
@@ -413,9 +423,11 @@ def _run_sharpness(params: dict, seed: int):
     for cfg in params["configs"]:
         n, d, beta = int(cfg["n"]), int(cfg["d"]), float(cfg["beta"])
         scales = [float(s) for s in cfg["scales"]]
-        spec = GeneratorSpec("planes", n, scales[0], d=d, beta=beta, size_cap=400_000)
         p = (d + beta) / (d + beta - 1.0)
-        fit = exponent_fit_norms(spec, scales, p, grid_factor=factor)
+        fit = exponent_fit_norms(
+            lambda dl: gen_lines_in_planes(n, d, beta, dl, size_cap=400_000),
+            scales, p, grid_factor=factor,
+        )
         target = (1.0 - d) / (d + beta)
         tag = f"n{n}d{d}"
         values[f"slope[{tag}]"] = fit.slope
@@ -599,6 +611,8 @@ def _load_config_file(path: Path) -> list[ExperimentConfig]:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got a {type(data).__name__}")
     extra = set(data) - {"schema", "scenarios"}
     if extra:
         raise ConfigError(f"unknown top-level config keys {sorted(extra)}")

@@ -213,13 +213,12 @@ def ball_condition_worst_ratio(F, net: BallNet) -> float:
 
     A value <= 1 certifies the non-concentration condition over the net.
     """
-    if len(F.tubes) == 0:
-        raise GeometryError("ball condition needs a non-empty family")
-    lines = F.lines()
-    return worst_ratio_of_lines(lines, F.delta, F.d, F.beta, net)
+    return worst_ratio_of_lines(F.lines(), F.delta, F.d, F.beta, net)
 
 
 def worst_ratio_of_lines(lines, delta: float, d: int, beta: float, net: BallNet) -> float:
+    if len(lines) == 0:
+        raise GeometryError("ball condition needs a non-empty line set")
     s = concentration_exponent(d, beta)
     feet, dirs = _line_arrays(lines)
     worst = 0.0

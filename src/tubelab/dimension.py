@@ -10,12 +10,12 @@ limiting dimension, which is out of reach at one scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .functionals import FamilyRaster, Grid, TubeFamily
-from .generators import GeneratorSpec, family_for_norms
 from .linegeom import GeometryError
 
 
@@ -187,10 +187,12 @@ def holder_comparison(F: TubeFamily, G: Grid, p: float) -> HolderReport:
     )
 
 
-def exponent_fit_norms(spec: GeneratorSpec, scales, p: float, grid_factor: int = 4) -> ExponentFit:
+def exponent_fit_norms(
+    family_at: Callable[[float], TubeFamily], scales, p: float, grid_factor: int = 4
+) -> ExponentFit:
     """Fit the scale exponent of ||sum chi_T||_p / (sum |T|)^(1/p).
 
-    One family is regenerated per scale from the generator description; the slope is the
+    `family_at(delta)` gives the family at each scale; the slope is the
     exponent e in value ~ C * delta^e.  Families satisfying the ball
     condition obey e >= (1-d)/p' up to desk-scale noise, with equality for
     the parallel-plane configuration.
@@ -200,7 +202,7 @@ def exponent_fit_norms(spec: GeneratorSpec, scales, p: float, grid_factor: int =
         raise GeometryError("an exponent fit needs at least 3 scales")
     values = []
     for s in scales:
-        fam = family_for_norms(replace(spec, delta=s))
+        fam = family_at(s)
         G = Grid.for_family(fam, factor=grid_factor)
         norm = FamilyRaster.build(fam, G).lp_norm(p)
         values.append(norm / fam.sum_volume() ** (1.0 / p))

@@ -161,10 +161,9 @@ class Grid:
         object.__setattr__(self, "extent", float(extent))
 
     @classmethod
-    def for_family(cls, F: TubeFamily, factor: int = 4, h: float | None = None) -> "Grid":
+    def for_family(cls, F: TubeFamily, factor: int = 4) -> "Grid":
         """Grid with bounds [-(R + delta), R + delta]^n and h = delta/factor."""
-        step = F.delta / factor if h is None else h
-        return cls(F.n, step, F.ball_radius + F.delta)
+        return cls(F.n, F.delta / factor, F.ball_radius + F.delta)
 
     @property
     def m(self) -> int:

@@ -6,14 +6,15 @@
 - bushes through the origin,
 - axis-parallel crossing families.
 
-Every generator is reproducible from (spec, seed); rejection sampling is
-sequential by design, so outputs depend on the draw order.
+Every generator is a deterministic function of its arguments, the random
+sampler through its seed; rejection sampling is sequential by design, so
+its output depends on the draw order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,41 +28,6 @@ SPAN = 0.7
 
 #: Rejection sampling draws at most this multiple of the target count.
 STALL_FACTOR = 50
-
-GENERATOR_KINDS = ("planes", "random-nonconcentrated", "bush", "axes")
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Serializable description of a generated configuration."""
-
-    kind: str
-    n: int
-    delta: float
-    d: int = 1
-    beta: float = 1.0
-    seed: int = 0
-    size_cap: int = 200_000
-    k: int = 2  # axes: number of families
-    count: int = 8  # bush: tubes; axes: tubes per family
-
-    def __post_init__(self):
-        if self.kind not in GENERATOR_KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if not (1 <= self.d < self.n):
-            raise ValueError(f"need 1 <= d < n, got d={self.d}, n={self.n}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        if not 0.0 < self.delta <= 0.5:
-            raise ValueError(f"delta must lie in (0, 1/2], got {self.delta}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GeneratorSpec":
-        return cls(**data)
-
 
 def cantor_offsets(beta: float, delta: float) -> np.ndarray:
     """Left endpoints of the level-m intervals of a middle-interval Cantor set.
@@ -88,14 +54,14 @@ def _tube_on_line(foot: np.ndarray, direction: np.ndarray, delta: float) -> Tube
 
 
 def gen_lines_in_planes(
-    n: int, d: int, beta: float, delta: float, seed: int = 0, size_cap: int = 200_000
+    n: int, d: int, beta: float, delta: float, size_cap: int = 200_000
 ) -> TubeFamily:
     """Lines inside delta^(-beta) parallel d-planes with Cantor-type offsets.
 
     Planes are translates of span{e_1..e_d} along e_(d+1); within each plane
     the lines form a delta-net of directions and foot points, giving
     ~delta^(-2(d-1)) lines per plane and ~delta^(-2(d-1)-beta) tubes total.
-    Deterministic; the seed is accepted for interface uniformity.
+    Deterministic.
     """
     if not (1 <= d < n):
         raise GeometryError(f"need 1 <= d < n, got d={d}, n={n}")
@@ -255,38 +221,3 @@ def gen_axes(n: int, k: int, delta: float, per_family_count: int) -> list[TubeFa
             tubes.append(Tube(c, Direction(np.eye(n)[i]), delta))
         families.append(TubeFamily(tubes, delta, n, 1, 1.0))
     return families
-
-
-def generate(spec: GeneratorSpec):
-    """Dispatch a GeneratorSpec.
-
-    Returns a TubeFamily for 'planes' and 'bush', a RandomFamilyResult for
-    'random-nonconcentrated', and a list of TubeFamily for 'axes'.
-    """
-    if spec.kind == "planes":
-        return gen_lines_in_planes(spec.n, spec.d, spec.beta, spec.delta, spec.seed, spec.size_cap)
-    if spec.kind == "random-nonconcentrated":
-        return gen_random_nonconcentrated(
-            spec.n, spec.d, spec.beta, spec.delta, spec.seed, spec.size_cap
-        )
-    if spec.kind == "bush":
-        return gen_bush(spec.n, spec.delta, spec.count)
-    if spec.kind == "axes":
-        return gen_axes(spec.n, spec.k, spec.delta, spec.count)
-    raise ValueError(f"unknown generator kind {spec.kind!r}")
-
-
-def family_for_norms(spec: GeneratorSpec) -> TubeFamily:
-    """The single family a spec denotes for norm evaluation.
-
-    Axes families are merged into one; random families are unwrapped and
-    raise IncompleteFamilyError when the sampler stopped short.
-    """
-    out = generate(spec)
-    if spec.kind == "axes":
-        tubes = [t for fam in out for t in fam.tubes]
-        return TubeFamily(tubes, spec.delta, spec.n, spec.d, spec.beta)
-    if spec.kind == "random-nonconcentrated":
-        source = f"spec {spec.kind} n={spec.n} d={spec.d} beta={spec.beta}"
-        return complete_family(out, source, spec.seed)
-    return out

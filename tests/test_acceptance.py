@@ -40,7 +40,6 @@ from tubelab.functionals import (
     multilinear_kakeya_lhs,
 )
 from tubelab.generators import (
-    GeneratorSpec,
     cantor_offsets,
     gen_lines_in_planes,
     gen_random_nonconcentrated,
@@ -87,7 +86,7 @@ def test_criterion_02_loomis_whitney_exactness():
 
     delta = 2.0**-5
     families = gen_axes(2, 2, delta, 4)
-    G = Grid.for_family(families[0], h=delta / 8)
+    G = Grid.for_family(families[0], factor=8)
     ratio = multilinear_kakeya_lhs(families, G) / multilinear_kakeya_rhs(families)
     elapsed = time.time() - t0
     assert abs(ratio - 1.0) <= 0.1
@@ -181,9 +180,10 @@ def test_criterion_06_sharpness_exponent():
         (2, 1, 1.0, [2.0**-j for j in range(3, 8)]),
         (3, 2, 1.0, [2.0**-3, 2.0**-4, 2.0**-5]),
     ):
-        spec = GeneratorSpec("planes", n, scales[0], d=d, beta=beta, size_cap=400_000)
         p = (d + beta) / (d + beta - 1.0)
-        fit = exponent_fit_norms(spec, scales, p)
+        fit = exponent_fit_norms(
+            lambda dl: gen_lines_in_planes(n, d, beta, dl, size_cap=400_000), scales, p
+        )
         target = (1.0 - d) / (d + beta)
         assert abs(fit.slope - target) <= 0.15, (n, d, fit.slope, target)
         assert fit.residual < 0.1

@@ -53,6 +53,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="2, 3, 4, 5, 6, 7, 8"):
             ExperimentConfig("x", "sharpness", params={"grid_factor": factor})
 
+    def test_seed_must_be_integral(self):
+        base = {"name": "x", "scenario": "dichotomy"}
+        assert ExperimentConfig.from_dict(dict(base, seed=3.0)).seed == 3
+        for bad in (True, 2.5, "3", None):
+            with pytest.raises(ConfigError, match="seed must be an integer"):
+                ExperimentConfig.from_dict(dict(base, seed=bad))
+
     def test_defaults_resolved(self):
         cfg = ExperimentConfig("x", "dichotomy", params={"trials": 5})
         resolved = cfg.resolved_params()
@@ -135,6 +142,18 @@ class TestMain:
         path.write_text(json.dumps({"schema": "wrong", "scenarios": []}))
         assert main(["run", "--config", str(path)]) == 2
         assert not (tmp_path / "reports").exists()
+        capsys.readouterr()
+        out = tmp_path / "out"
+        for data in (
+            [1],
+            {"schema": "tubelab-config-1", "scenarios": [1]},
+            {"schema": "tubelab-config-1", "scenarios": [dict(QUICK_DICHOTOMY, seed="abc")]},
+            {"schema": "tubelab-config-1", "scenarios": [dict(QUICK_DICHOTOMY, params=[1, 2])]},
+        ):
+            path.write_text(json.dumps(data))
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 2, data
+            assert "config error:" in capsys.readouterr().err, data
+            assert not out.exists()
 
     def test_byte_identical_rerun_on_disk(self, tmp_path, capsys):
         cfg = self._config_file(tmp_path, [QUICK_DICHOTOMY, QUICK_KAKEYA])

@@ -280,6 +280,10 @@ class TestWorstRatio:
         with pytest.raises(GeometryError):
             ball_condition_worst_ratio(F, BallNet.build(2, 2.0**-4))
 
+    def test_empty_line_set_rejected(self):
+        with pytest.raises(GeometryError, match="non-empty line set"):
+            worst_ratio_of_lines([], 2.0**-4, 1, 1.0, BallNet.build(2, 2.0**-4))
+
 
 class TestRandomThin:
     def test_probability_one_keeps_everything(self):

@@ -15,9 +15,10 @@ from tubelab.dimension import (
     exponent_fit_norms,
     holder_comparison,
 )
-from tubelab.functionals import Grid, TubeFamily, rasterize_tube
-from tubelab.generators import GeneratorSpec, cantor_offsets, gen_lines_in_planes
+from tubelab.functionals import Grid, TubeFamily, lp_norm_tube_sum, rasterize_tube
+from tubelab.generators import cantor_offsets, gen_bush, gen_lines_in_planes
 from tubelab.linegeom import Direction, GeometryError, Tube
+from tubelab.suites import suite_member
 
 
 def disk_region(h=2.0**-8):
@@ -171,38 +172,42 @@ class TestExponentFitNorms:
         # One tube at every scale: the normalized value is
         # |T|^(1/p) * |T|^(-1/p) ~ 1 up to grid error, so the slope is ~0,
         # which meets the (1-d)/p' <= 0 bound for d >= 1.
-        spec = GeneratorSpec("bush", 2, 2.0**-4, count=1)
-        fit = exponent_fit_norms(spec, [2.0**-3, 2.0**-4, 2.0**-5], 2.0)
+        fit = exponent_fit_norms(lambda dl: gen_bush(2, dl, 1), [2.0**-3, 2.0**-4, 2.0**-5], 2.0)
         assert abs(fit.slope) <= 0.1
 
     def test_sharpness_n2_flat(self):
-        spec = GeneratorSpec("planes", 2, 2.0**-4, d=1, beta=1.0)
-        fit = exponent_fit_norms(spec, [2.0**-j for j in range(3, 8)], 2.0)
+        fit = exponent_fit_norms(
+            lambda dl: gen_lines_in_planes(2, 1, 1.0, dl), [2.0**-j for j in range(3, 8)], 2.0
+        )
         assert abs(fit.slope) <= 0.15
         assert fit.residual < 0.1
 
+    def test_suite_member_family_is_a_scale_callable(self):
+        # A suite member's `family` and a generator closure name the same
+        # family at each scale, so they give the same fit.
+        scales = [2.0**-3, 2.0**-4, 2.0**-5]
+        from_suite = exponent_fit_norms(suite_member("planes-n2-d1-b1").family, scales, 2.0)
+        from_generator = exponent_fit_norms(lambda dl: gen_lines_in_planes(2, 1, 1.0, dl), scales, 2.0)
+        assert from_suite.slope == from_generator.slope
+        assert from_suite.values == from_generator.values
+
     def test_bush_exponent_above_prediction(self):
-        spec = GeneratorSpec("bush", 2, 2.0**-4, count=16)
-
-        def counted(delta):
-            return GeneratorSpec("bush", 2, delta, count=int(round(1 / delta)))
-
         scales = [2.0**-4, 2.0**-5, 2.0**-6]
         values = []
-        from tubelab.functionals import Grid as G_, lp_norm_tube_sum
-        from tubelab.generators import gen_bush
-
         for s in scales:
             fam = gen_bush(2, s, int(round(1 / s)))
-            g = G_.for_family(fam, 4)
+            g = Grid.for_family(fam, 4)
             values.append(lp_norm_tube_sum(fam, 2.0, g) / fam.sum_volume() ** 0.5)
         fit = ExponentFit(scales, values)
         assert fit.slope >= (1 - 1) / 2.0 - 0.15
 
     def test_scale_generation_failure_propagates(self):
-        spec = GeneratorSpec("planes", 3, 2.0**-3, d=2, beta=1.0, size_cap=50)
         with pytest.raises(GeometryError):
-            exponent_fit_norms(spec, [2.0**-3, 2.0**-4, 2.0**-5], 1.5)
+            exponent_fit_norms(
+                lambda dl: gen_lines_in_planes(3, 2, 1.0, dl, size_cap=50),
+                [2.0**-3, 2.0**-4, 2.0**-5],
+                1.5,
+            )
 
 
 class TestDefaultScales:

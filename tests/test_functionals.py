@@ -298,7 +298,7 @@ class TestMultilinear:
         v4 = 2.0 * float((u.min(axis=0) * np.sin(T_)).sum()) * (math.pi / 1000) ** 2
         delta = 2.0**-3
         families = gen_axes(4, 4, delta, 1)
-        G = Grid.for_family(families[0], h=delta / 4)
+        G = Grid.for_family(families[0], factor=4)
         ratio = multilinear_kakeya_lhs(families, G) / multilinear_kakeya_rhs(families)
         exact = (v4 * delta**4) ** 0.75 / families[0].tubes[0].volume()
         assert ratio <= 1.0

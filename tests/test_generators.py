@@ -5,22 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from tubelab import generators
 from tubelab.concentration import BallNet, ball_condition_worst_ratio
-from tubelab.functionals import TubeFamily
 from tubelab.generators import (
-    GeneratorSpec,
-    IncompleteFamilyError,
-    RandomFamilyResult,
     cantor_offsets,
-    family_for_norms,
     gen_axes,
     gen_bush,
     gen_lines_in_planes,
     gen_random_nonconcentrated,
-    generate,
 )
-from tubelab.linegeom import Direction, GeometryError, Tube, point_in_tube
+from tubelab.linegeom import GeometryError, point_in_tube
 
 
 class TestCantorOffsets:
@@ -167,39 +160,3 @@ class TestBushAndAxes:
         for i, f in enumerate(fams):
             for t in f.tubes:
                 assert abs(t.direction.u[i]) == pytest.approx(1.0)
-
-
-class TestGeneratorSpec:
-    def test_roundtrip(self):
-        spec = GeneratorSpec("planes", 2, 2.0**-4, d=1, beta=1.0, seed=3)
-        again = GeneratorSpec.from_dict(spec.to_dict())
-        assert again == spec
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GeneratorSpec("nope", 2, 0.1)
-        with pytest.raises(ValueError):
-            GeneratorSpec("planes", 2, 0.1, d=2)
-        with pytest.raises(ValueError):
-            GeneratorSpec("planes", 3, 0.1, d=1, beta=0.0)
-
-    def test_partial_random_family_rejected(self, monkeypatch):
-        def partial(n, d, beta, delta, seed=0, size_cap=200_000):
-            tube = Tube(np.zeros(n), Direction(np.eye(n)[0]), delta)
-            return RandomFamilyResult(TubeFamily([tube] * 5, delta, n, d, beta), complete=False, draws=700)
-
-        monkeypatch.setattr(generators, "gen_random_nonconcentrated", partial)
-        spec = GeneratorSpec("random-nonconcentrated", 2, 2.0**-4, seed=7)
-        pattern = r"spec random-nonconcentrated n=2 .*delta=0.0625, seed=7 reached 5 tubes after 700 draws"
-        with pytest.raises(IncompleteFamilyError, match=pattern):
-            family_for_norms(spec)
-
-    def test_complete_random_family_unwrapped(self):
-        spec = GeneratorSpec("random-nonconcentrated", 2, 2.0**-3, seed=1)
-        assert len(family_for_norms(spec)) == 8
-
-    def test_dispatch(self):
-        fam = generate(GeneratorSpec("bush", 2, 2.0**-4, count=4))
-        assert len(fam) == 4
-        fams = generate(GeneratorSpec("axes", 2, 2.0**-4, k=2, count=3))
-        assert len(fams) == 2
