@@ -32,7 +32,9 @@ from .concentration import (
     worst_ratio_of_lines,
 )
 from .dichotomy import (
+    BudgetError,
     DirectionMultiset,
+    UncertifiedDichotomyError,
     control_card_ratio,
     decide_dichotomy,
     verify_option_a,
@@ -45,7 +47,7 @@ from .dimension import (
     holder_comparison,
 )
 from .functionals import Grid
-from .generators import cantor_offsets, gen_lines_in_planes
+from .generators import IncompleteFamilyError, cantor_offsets, gen_lines_in_planes
 from .linegeom import Direction, Line
 from .suites import (
     DECOMPOSE_DELTAS,
@@ -71,10 +73,10 @@ GRID_FACTORS = range(2, 9)
 
 
 def _is_integral(x) -> bool:
-    """True for an int or an integral float; False for a bool or anything else."""
+    """True for an int (numpy's too) or an integral float; False for a bool or anything else."""
     if isinstance(x, bool):
         return False
-    return isinstance(x, int) or (isinstance(x, float) and x.is_integer())
+    return isinstance(x, (int, np.integer)) or (isinstance(x, float) and x.is_integer())
 
 
 def _check_grid_factor(factor, source: str) -> int:
@@ -114,6 +116,10 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # The one seed check for configs and `--seed`: numpy rejects negative seeds.
+        if not _is_integral(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.scenario not in SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; choose from {sorted(SCENARIOS)}"
@@ -160,16 +166,13 @@ class ExperimentConfig:
         missing = {"name", "scenario"} - set(data)
         if missing:
             raise ConfigError(f"config missing keys {sorted(missing)}")
-        seed = data.get("seed", 0)
-        if not _is_integral(seed):
-            raise ConfigError(f"seed must be an integer, got {seed!r}")
         params = data.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"params must be a JSON object, got {params!r}")
         return cls(
             name=str(data["name"]),
             scenario=str(data["scenario"]),
-            seed=int(seed),
+            seed=data.get("seed", 0),
             params=dict(params),
         )
 
@@ -636,17 +639,28 @@ def _write_report(rep: ExperimentReport, out_dir: Path) -> Path:
     return path
 
 
-def _run_one(args_tuple):
-    cfg_dict, overrides = args_tuple
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    if overrides.get("seed") is not None:
-        cfg = ExperimentConfig(cfg.name, cfg.scenario, int(overrides["seed"]), cfg.params)
-    if overrides.get("grid_factor") is not None and "grid_factor" in SCENARIOS[cfg.scenario].defaults:
-        params = dict(cfg.params)
-        params["grid_factor"] = overrides["grid_factor"]
-        cfg = ExperimentConfig(cfg.name, cfg.scenario, cfg.seed, params)
-    rep = run_scenario(cfg)
-    return rep.to_json()
+#: The errors tubelab raises on purpose inside a scenario: argument and size
+#: checks, and procedures that stop without a certified answer.
+SCENARIO_ERRORS = (ValueError, ThinningError, UncertifiedDichotomyError, BudgetError, IncompleteFamilyError,
+                   MemoryError, OverflowError)
+
+
+class ScenarioError(Exception):
+    """A scenario stopped on one of SCENARIO_ERRORS; the message names it."""
+
+
+def _with_overrides(cfg: ExperimentConfig, seed, factor) -> ExperimentConfig:
+    params = dict(cfg.params)
+    if factor is not None and "grid_factor" in SCENARIOS[cfg.scenario].defaults:
+        params["grid_factor"] = factor
+    return ExperimentConfig(cfg.name, cfg.scenario, cfg.seed if seed is None else seed, params)
+
+
+def _run_one(cfg: ExperimentConfig) -> ExperimentReport:
+    try:
+        return run_scenario(cfg)
+    except SCENARIO_ERRORS as exc:
+        raise ScenarioError(f"error in scenario {cfg.name}: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -693,22 +707,21 @@ def main(argv=None) -> int:
         try:
             configs = _load_config_file(args.config)
             factor = None if args.grid_h is None else _grid_factor(args.grid_h)
+            configs = [_with_overrides(c, args.seed, factor) for c in configs]
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        overrides = {"seed": args.seed, "grid_factor": factor}
-        reports: list[ExperimentReport] = []
-        if args.parallel and len(configs) > 1:
-            from concurrent.futures import ProcessPoolExecutor
+        try:
+            if args.parallel and len(configs) > 1:
+                from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor() as pool:
-                jsons = list(
-                    pool.map(_run_one, [(c.to_dict(), overrides) for c in configs])
-                )
-            reports = [ExperimentReport.from_json(j) for j in jsons]
-        else:
-            for c in configs:
-                reports.append(ExperimentReport.from_json(_run_one((c.to_dict(), overrides))))
+                with ProcessPoolExecutor() as pool:
+                    reports = list(pool.map(_run_one, configs))
+            else:
+                reports = [_run_one(c) for c in configs]
+        except ScenarioError as exc:
+            print(exc, file=sys.stderr)
+            return 2
         all_pass = True
         for rep in reports:
             path = _write_report(rep, args.out)

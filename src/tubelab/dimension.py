@@ -134,13 +134,10 @@ class HolderReport:
     """Duality comparison between tube mass on E_delta and the L^p norm.
 
     The chain  sum |T ∩ E| <= |E|^(1/p') ||sum chi_T||_p  is exact arithmetic
-    on the grid and is re-checked here; lower/upper_bound_value are the two
-    scale-power displays it is compared against (with the epsilon losses set
-    to zero), and exponent_deficit is the measured box dimension minus d+beta.
+    on the grid and is re-checked here; exponent_deficit is the measured box
+    dimension minus d+beta.
     """
 
-    lower_bound_value: float
-    upper_bound_value: float
     exponent_deficit: float
     mass_lhs: float
     holder_rhs: float
@@ -171,13 +168,8 @@ def holder_comparison(F: TubeFamily, G: Grid, p: float) -> HolderReport:
     region = Region(G, raster.occ)
     fit = box_counting_dim(region, default_dimension_scales(G))
     dim_fit = fit.slope
-    delta, n, d, beta = F.delta, F.n, F.d, F.beta
-    lower = delta ** (n - 2.0 * d + 1.0 - beta) * delta ** (-(n - dim_fit) / p_prime)
-    upper = delta ** ((1.0 - d) / p_prime + (n + 1.0 - 2.0 * d - beta) / p)
     return HolderReport(
-        lower_bound_value=float(lower),
-        upper_bound_value=float(upper),
-        exponent_deficit=float(dim_fit - (d + beta)),
+        exponent_deficit=float(dim_fit - (F.d + F.beta)),
         mass_lhs=mass_lhs,
         holder_rhs=float(holder_rhs),
         norm_p=norm_p,

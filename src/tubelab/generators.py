@@ -20,7 +20,7 @@ import numpy as np
 
 from .concentration import BallNet, IncrementalBallCounter
 from .functionals import TubeFamily
-from .linegeom import Direction, GeometryError, Line, SphereNet, Tube, complete_orthonormal
+from .linegeom import Direction, GeometryError, Line, SphereNet, Tube, build_cap_cover, complete_orthonormal
 
 #: Transverse span occupied by generated configurations, chosen so that unit
 #: segments stay inside B(0,1).
@@ -49,10 +49,6 @@ def cantor_offsets(beta: float, delta: float) -> np.ndarray:
     return np.sort(offsets)
 
 
-def _tube_on_line(foot: np.ndarray, direction: np.ndarray, delta: float) -> Tube:
-    return Tube(foot, Direction(direction), delta)
-
-
 def gen_lines_in_planes(
     n: int, d: int, beta: float, delta: float, size_cap: int = 200_000
 ) -> TubeFamily:
@@ -70,17 +66,8 @@ def gen_lines_in_planes(
     if d == 1:
         plane_dirs = np.array([[1.0] + [0.0] * (d - 1)])
     else:
-        # ~delta^-(d-1) directions on the plane's sphere, spacing ~ delta.
-        plane_dirs = SphereNet(d, max(delta * math.pi / 2.0, 1e-6)).rows
-        # Unoriented dedupe: keep one of each antipodal pair.
-        keep = []
-        seen = set()
-        for u in plane_dirs:
-            key = tuple(np.round(np.where(np.abs(u) > 1e-9, u * np.sign(u[np.argmax(np.abs(u) > 1e-9)]), u), 9))
-            if key not in seen:
-                seen.add(key)
-                keep.append(u)
-        plane_dirs = np.stack(keep)
+        # ~delta^-(d-1) unoriented directions on the plane's sphere, spacing ~ delta.
+        plane_dirs = build_cap_cover(d, max(delta * math.pi / 2.0, 1e-6)).center_matrix
 
     feet_1d = np.arange(-SPAN / 2.0, SPAN / 2.0 + 1e-12, delta)
     expected = len(offsets) * len(plane_dirs) * len(feet_1d) ** (d - 1)
@@ -90,27 +77,23 @@ def gen_lines_in_planes(
             "use a larger delta"
         )
 
+    if d == 1:
+        foot_grid = np.zeros((1, 0))
+    else:
+        mesh = np.meshgrid(*([feet_1d] * (d - 1)), indexing="ij")
+        foot_grid = np.stack([g.ravel() for g in mesh], axis=1)
     tubes: list[Tube] = []
     for u_plane in plane_dirs:
         direction = np.zeros(n)
         direction[:d] = u_plane
-        if d == 1:
-            foot_basis = np.zeros((0, n))
-        else:
-            in_plane = complete_orthonormal(u_plane[None], d)[1:]  # (d-1, d)
-            foot_basis = np.zeros((d - 1, n))
-            foot_basis[:, :d] = in_plane
-        if d == 1:
-            foot_grid = np.zeros((1, 0))
-        else:
-            mesh = np.meshgrid(*([feet_1d] * (d - 1)), indexing="ij")
-            foot_grid = np.stack([g.ravel() for g in mesh], axis=1)
+        foot_basis = np.zeros((d - 1, n))
+        foot_basis[:, :d] = complete_orthonormal(u_plane[None], d)[1:]  # (d-1, d)
         for off in offsets:
             base = np.zeros(n)
             base[d] = off
             for coeffs in foot_grid:
                 foot = base + (coeffs @ foot_basis if coeffs.size else 0.0)
-                tubes.append(_tube_on_line(foot, direction, delta))
+                tubes.append(Tube(foot, direction, delta))
     return TubeFamily(tubes, delta, n, d, beta)
 
 

@@ -559,14 +559,20 @@ class CapCover:
 def build_cap_cover(n: int, rho: float) -> CapCover:
     """Cover S^(n-1) by caps of diameter rho (ring-lattice construction).
 
-    Returns canonical (unoriented) centers; antipodal duplicates are merged.
+    The centers are the canonical (unoriented) vectors `Direction(row).u` of
+    the `SphereNet(n, rho)` rows.  Two rows are the same direction when their
+    canonical vectors agree after rounding to 9 decimals, which merges the
+    antipodal twins of the net (u and -u differ in the last bit); the first
+    row of each class is kept, in net order.
     """
     if n < 2:
         raise GeometryError("cap covers need ambient dimension >= 2")
     if not 0.0 < rho <= 1.0:
         raise GeometryError(f"cap diameter must lie in (0, 1], got {rho}")
+    dirs = [Direction(row) for row in SphereNet(n, rho).rows]
+    # One rounding for all rows; `+ 0.0` turns -0.0 into 0.0, so key bytes see values only.
+    keys = np.round(np.stack([d.u for d in dirs]), 9) + 0.0
     seen: dict[bytes, Direction] = {}
-    for row in SphereNet(n, rho).rows:
-        d = Direction(row)
-        seen.setdefault(d.u.tobytes(), d)
+    for d, key in zip(dirs, keys):
+        seen.setdefault(key.tobytes(), d)
     return CapCover(rho, list(seen.values()), n)

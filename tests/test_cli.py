@@ -56,9 +56,11 @@ class TestConfig:
     def test_seed_must_be_integral(self):
         base = {"name": "x", "scenario": "dichotomy"}
         assert ExperimentConfig.from_dict(dict(base, seed=3.0)).seed == 3
-        for bad in (True, 2.5, "3", None):
+        for bad in (True, 2.5, "3", None, -1, -1.0):
             with pytest.raises(ConfigError, match="seed must be an integer"):
                 ExperimentConfig.from_dict(dict(base, seed=bad))
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0, got -1"):
+            ExperimentConfig("x", "dichotomy", seed=-1)
 
     def test_defaults_resolved(self):
         cfg = ExperimentConfig("x", "dichotomy", params={"trials": 5})
@@ -149,11 +151,26 @@ class TestMain:
             {"schema": "tubelab-config-1", "scenarios": [1]},
             {"schema": "tubelab-config-1", "scenarios": [dict(QUICK_DICHOTOMY, seed="abc")]},
             {"schema": "tubelab-config-1", "scenarios": [dict(QUICK_DICHOTOMY, params=[1, 2])]},
+            {"schema": "tubelab-config-1", "scenarios": [dict(QUICK_DICHOTOMY, seed=-1)]},
         ):
             path.write_text(json.dumps(data))
             assert main(["run", "--config", str(path), "--out", str(out)]) == 2, data
             assert "config error:" in capsys.readouterr().err, data
             assert not out.exists()
+        path.write_text(json.dumps({"schema": "tubelab-config-1", "scenarios": [QUICK_DICHOTOMY]}))
+        assert main(["run", "--config", str(path), "--out", str(out), "--seed", "-1"]) == 2
+        assert "config error: seed must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("parallel", [[], ["--parallel"]])
+    def test_scenario_error_exits_two_with_one_line(self, tmp_path, capsys, parallel):
+        thin = {"name": "thin0", "scenario": "thin", "seed": 0, "params": {"n_lines": 0}}
+        cfg = self._config_file(tmp_path, [QUICK_DICHOTOMY, thin])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), *parallel]) == 2
+        err = capsys.readouterr().err
+        assert err == "error in scenario thin0: ball condition needs a non-empty line set\n"
+        assert not out.exists()
 
     def test_byte_identical_rerun_on_disk(self, tmp_path, capsys):
         cfg = self._config_file(tmp_path, [QUICK_DICHOTOMY, QUICK_KAKEYA])

@@ -506,6 +506,21 @@ class TestCoarsening:
         co = coarsen_to_rho_tubes(F, 0.25)
         assert co.assignment[0] == co.assignment[1]
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_no_twin_coarse_tubes(self, n):
+        # Two coarse tubes with one center and one axis up to sign are the
+        # same tube; no fine tube may be counted in both.
+        rng = np.random.default_rng(11)
+        delta = 2.0**-5
+        co = coarsen_to_rho_tubes(generic_family(rng, n, delta, 20), 0.25)
+        for assigned in co.assignment:
+            centers = np.stack([co.coarse_tubes[c].segment_center for c in assigned])
+            axes = np.stack([co.coarse_tubes[c].direction.u for c in assigned])
+            same_center = (np.abs(centers[:, None] - centers[None]) <= 1e-12).all(axis=2)
+            same_axis = np.abs(np.abs(axes @ axes.T) - 1.0) <= 1e-12
+            twins = np.argwhere(np.triu(same_center & same_axis, k=1))
+            assert twins.size == 0, [(assigned[a], assigned[b]) for a, b in twins]
+
     def test_scale_precondition(self):
         delta = 2.0**-3
         F = family([Tube([0.0, 0.0], Direction([1.0, 0.0]), delta)], delta, 2)

@@ -7,13 +7,14 @@ import pytest
 
 from tubelab.concentration import BallNet, ball_condition_worst_ratio
 from tubelab.generators import (
+    SPAN,
     cantor_offsets,
     gen_axes,
     gen_bush,
     gen_lines_in_planes,
     gen_random_nonconcentrated,
 )
-from tubelab.linegeom import GeometryError, point_in_tube
+from tubelab.linegeom import Direction, GeometryError, SphereNet, complete_orthonormal, point_in_tube
 
 
 class TestCantorOffsets:
@@ -75,6 +76,32 @@ class TestLinesInPlanes:
     def test_size_cap(self):
         with pytest.raises(GeometryError, match="larger delta"):
             gen_lines_in_planes(3, 2, 1.0, 2.0**-5, size_cap=100)
+
+    @pytest.mark.parametrize("delta", [2.0**-3, 2.0**-4, 2.0**-5])
+    def test_plane_directions_from_cap_cover(self, delta):
+        # The cap cover's unoriented centers give the same planes family as
+        # a dedupe of the raw net rows by their sign-normalized 9-decimal key:
+        # equal directions, and byte-identical feet, since the in-plane
+        # completion of -u is that of u.
+        keep, seen = [], set()
+        for u in SphereNet(2, delta * math.pi / 2.0).rows:
+            key = tuple(np.round(np.where(np.abs(u) > 1e-9, u * np.sign(u[np.argmax(np.abs(u) > 1e-9)]), u), 9))
+            if key not in seen:
+                seen.add(key)
+                keep.append(u)
+        offsets = (cantor_offsets(1.0, delta) - 0.5) * SPAN
+        feet_1d = np.arange(-SPAN / 2.0, SPAN / 2.0 + 1e-12, delta)
+        dirs, centers = [], []
+        for u in keep:
+            in_plane = complete_orthonormal(u[None], 2)[1]
+            for off in offsets:
+                for c in feet_1d:
+                    dirs.append(Direction([u[0], u[1], 0.0]).u)
+                    centers.append(np.array([0.0, 0.0, off]) + c * np.array([in_plane[0], in_plane[1], 0.0]))
+        F = gen_lines_in_planes(3, 2, 1.0, delta, size_cap=300_000)
+        assert len(F) == len(centers)
+        assert all((t.direction.u == u).all() for t, u in zip(F.tubes, dirs))
+        assert b"".join(t.segment_center.tobytes() for t in F.tubes) == np.stack(centers).tobytes()
 
     def test_cardinality_budget_respected(self):
         for n, d, beta in ((2, 1, 1.0), (3, 1, 0.5), (3, 2, 1.0)):

@@ -437,6 +437,20 @@ class TestCapCover:
         counts = (dots >= math.cos(rho) - 1e-12).sum(axis=1)
         assert counts.max() <= 1000
 
+    @pytest.mark.parametrize(
+        "n, rho, caps", [(2, 0.125, 13), (3, 0.125, 682), (3, 0.25, 222), (4, 0.5, 657), (3, 1.0, 15)]
+    )
+    def test_antipodal_twins_merged(self, n, rho, caps):
+        # The ring lattice holds u and -u up to the last bit; one of each
+        # pair survives, and the survivors are canonical net rows in order.
+        cov = build_cap_cover(n, rho)
+        assert len(cov) == caps
+        dots = np.abs(cov.center_matrix @ cov.center_matrix.T)
+        np.fill_diagonal(dots, 0.0)
+        assert dots.max() < 1.0 - 1e-9
+        rows = iter(Direction(row).u.tobytes() for row in SphereNet(n, rho).rows)
+        assert all(c.u.tobytes() in rows for c in cov.centers)
+
     def test_caps_containing_matches_bruteforce(self):
         cov = build_cap_cover(3, 0.3)
         rng = np.random.default_rng(2)

@@ -1,14 +1,18 @@
 """The attributes that perfbench/spans.py wraps in a traced run still exist.
 
 A traced run skips a hook whose target is gone, and a counter reads call
-arguments by parameter name, so a rename in tubelab would silently blind
-it.  These tests read the hook table without installing any wrapper.
+arguments by parameter name and result attributes by attribute name, so a
+rename in tubelab would silently blind it.  These tests read the hook table
+and call its counters directly, without installing any wrapper.
 """
 
 import importlib
 import importlib.util
 import inspect
+from collections import defaultdict
 from pathlib import Path
+
+import numpy as np
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -20,11 +24,15 @@ COUNTER_ARGS = {
 }
 
 
-def _hooks():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.HOOKS
+    return module
+
+
+def _hooks():
+    return _spans().HOOKS
 
 
 def _resolve(target):
@@ -55,3 +63,55 @@ def test_counted_arguments_are_parameters():
             params = inspect.signature(_resolve(target)).parameters
             absent += [(target, name) for name in reads if name not in params]
     assert absent == []
+
+
+def _tiny_calls():
+    """Arguments of one call of each counted function, on a tiny input."""
+    from tubelab.concentration import BallNet, IncrementalBallCounter, _line_arrays
+    from tubelab.dichotomy import DirectionMultiset
+    from tubelab.functionals import Grid
+    from tubelab.generators import gen_lines_in_planes
+    from tubelab.linegeom import Direction, Line
+
+    delta = 2.0**-3
+    F = gen_lines_in_planes(2, 1, 1.0, delta)
+    grid = Grid.for_family(F, 4)
+    # Parallel lines 4 delta apart satisfy the ball condition, so thinning succeeds.
+    ldelta = 2.0**-5
+    lines = [Line(Direction([1.0, 0.0]), [0.0, (i - 3.5) * 4.0 * ldelta]) for i in range(8)]
+    net = BallNet.build(2, ldelta)
+    feet, dirs = _line_arrays(lines)
+    return {
+        "functionals.rasterize_tube": (grid, F.tubes[0]),
+        "functionals.FamilyRaster.build": (F, grid),
+        "functionals.multilinear_cell_values": ([F, F], grid),
+        "functionals.coarsen_to_rho_tubes": (F, 0.5),
+        "concentration.BallNet.candidate_keys": (net, ldelta, feet, dirs),
+        "concentration.BallNet.scan": (net, ldelta, feet, dirs),
+        "concentration.random_thin": (lines, 2.0, 1.0, 0.0, ldelta, 0, net, 1, 1.0),
+        "concentration.IncrementalBallCounter.try_add": (IncrementalBallCounter(net, ldelta, 1, 1.0), lines[0]),
+        "generators.gen_random_nonconcentrated": (2, 1, 1.0, delta),
+        "dichotomy.decide_dichotomy": (DirectionMultiset(np.eye(2)), 2, 0.3),
+    }
+
+
+#: Counters a tiny input leaves at zero: a small family takes the per-tube
+#: raster path, not the dense one.
+ZERO_ON_TINY_INPUT = {"functionals.raster_dense_builds"}
+
+
+def test_every_counter_reads_a_real_result():
+    spans = _spans()
+    calls = _tiny_calls()
+    for _, targets, counter in spans.HOOKS:
+        if counter is None:
+            continue
+        fn = _resolve(targets[0])
+        args = calls[targets[0]]
+        counters, sets = defaultdict(float), defaultdict(set)
+        result = fn(*args)
+        counter(counters, sets, spans._Arguments(inspect.signature(fn), args, {}), result, None)
+        assert counters or sets, targets[0]
+        bumped = {k: v for k, v in counters.items() if k not in ZERO_ON_TINY_INPUT}
+        assert all(v > 0 for v in bumped.values()), (targets[0], dict(counters))
+        assert all(sets.values()), (targets[0], dict(sets))
