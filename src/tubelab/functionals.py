@@ -6,14 +6,20 @@ belongs to a tube exactly when its center does.  Indicator integrands make
 higher-order quadrature pointless, and the midpoint rule is unbiased on
 unions of slabs.
 
-A tube is rasterized by a scanline over its capsule (`rasterize_tube`): rows
-of cells along the axis closest to the tube's direction, one closed-form
-interval of candidates per row, and the exact distance test to the core
-segment as the only membership decision.  A family is rasterized once per
-grid into a `FamilyRaster`: per-tube cell lists for small families, a
-dense count field for large ones.  The raster carries its family
-and is passed to every evaluation on that grid, so norms, cap and
-coarse-tube groupings and multilinear sums share one rasterization.
+Tubes are rasterized by a scanline over their capsules, a batch of tubes at
+a time (`_tube_runs`): rows of cells along the axis closest to each tube's
+direction, one closed-form interval of candidates per row, and the exact
+distance test to the core segment as the only membership decision.  The test
+runs on the cells at both ends of an interval; the distance to a segment is
+convex along a row, so the cells between two ends that pass with a margin
+are kept untested, and the kept cells of a row form one run.  A family is
+rasterized once per grid into a `FamilyRaster`: its runs are counted in one
+int64 field by differences along each row and a cumulative sum, and small
+families also keep their runs, expanded into per-tube cell lists when an
+evaluation first reads them.  `rasterize_tube` is the one-tube case.  The
+raster carries its family and is passed to every evaluation on that grid, so
+norms, cap and coarse-tube groupings and multilinear sums share one
+rasterization.
 Multilinear sums group the candidate cells into faces, the cells contained
 in the same tubes of every slot, and sum the wedge volumes of a face's tuples
 once, from one table computed by `linegeom.tuple_wedges`; the k-fold product
@@ -24,7 +30,9 @@ lattice candidates of a (tube, cap) pair in one broadcast.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,13 +59,14 @@ C_COMP = 4.0
 #: unit tubes without unbounded overlap.
 COARSE_LENGTH = 3.0
 
-#: Families with more tubes than this are rasterized into a dense count
-#: field without per-tube cell lists (norms only).
+#: Families with more tubes than this keep no per-tube cell lists (norms
+#: only) and are always counted in the dense count field.
 PER_TUBE_LIMIT = 4000
 
 #: Largest dense count field, in bytes (8 per grid cell), that
-#: `FamilyRaster.build` allocates.  Tubes are counted into the field in
-#: place, so the field is the whole allocation of a dense build.
+#: `FamilyRaster.build` allocates.  Every family counted in a field is
+#: counted in place, a batch of tubes at a time, so the field is the whole
+#: full-size allocation of a build, and this limit counts it alone.
 DENSE_BYTES_LIMIT = 2**30
 
 
@@ -203,21 +212,17 @@ class Grid:
 def rasterize_tube(grid: Grid, tube: Tube) -> np.ndarray:
     """Sorted linear indices of the grid cells whose center lies inside the tube.
 
-    The candidates come from `_scan_cells`, a scanline over the capsule:
-    rows of cells along the axis closest to the tube's direction, one
-    closed-form interval per row, padded by one cell.  The exact test
-    `segment_point_distances(...) <= r + 1e-12` alone decides which
-    candidates are kept.  The candidates include every cell of the tube at
-    any grid step and are unique by construction, so the cells come out
-    complete and without repeats.
+    The one-tube case of `FamilyRaster.build`: the tube's kept runs from
+    `_tube_runs`, expanded to cells and sorted.  A cell is kept exactly when
+    `segment_point_distances(...) <= r + 1e-12` holds at its center; the
+    candidates of `_scan_cells` include every such cell at any grid step and
+    are unique by construction, so the cells come out complete and without
+    repeats.
     """
-    lo, h, m = grid.lo, grid.h, grid.m
-    c, u, r = tube.segment_center, tube.direction.u, tube.radius
-    multi = _scan_cells(m, (c - lo) / h, u, tube.length / (2.0 * h), (r + _SCAN_SLACK) / h)
-    keep = segment_point_distances(lo + (multi + 0.5) * h, c, u, tube.length) <= r + 1e-12
-    linear = multi[keep] @ (m ** np.arange(grid.n - 1, -1, -1))
-    linear.sort()
-    return linear
+    _, start, count, step = _run_arrays(grid, _tube_runs(grid, [tube]))
+    cells = _run_cells(start, count, step)
+    cells.sort()
+    return cells
 
 
 #: Radius slack of the scanline, so that roundoff in its closed forms never
@@ -228,77 +233,251 @@ _SCAN_SLACK = 1e-9
 #: whole slab (the axis-parallel branch); the closed form divides by the tilt.
 _MIN_TILT = 1e-6
 
+#: Margin by which the two inner end cells of a candidate run must clear the
+#: membership threshold before the cells between them are kept untested.  It
+#: lies far above the roundoff of a computed distance (about 1e-16 here).
+_RUN_MARGIN = 1e-11
 
-def _scan_cells(m: int, c: np.ndarray, u: np.ndarray, half: float, r: float) -> np.ndarray:
-    """Candidate cells, as multi-indices (k, d), of the capsule of radius r
-    around the segment c +- half u, in grid units: cell i has its center at
-    i + 1/2 on each axis, and 0 <= i < m.
+#: Estimated candidate rows per batch of tubes: a 128th of the grid's cells,
+#: within these bounds.  A row takes about 500 bytes of temporaries while its
+#: batch is tested, so a batch takes about half the count field's bytes.
+_BATCH_ROWS = (1024, 16384)
+
+
+def _tube_runs(grid: Grid, tubes):
+    """Yield (a, tube, start, count) per batch of tubes: the kept runs of the
+    batch along its scan axis a, as tube index (into `tubes`), linear index of
+    the run's first cell and its cell count.  The cells of a run are
+    start + i * m^(n-1-a) for 0 <= i < count.
+
+    A batch holds tubes with the same scan axes at every level of
+    `_scan_cells` (`_scan_axes`), ordered by direction, and about
+    `_BATCH_ROWS` candidate rows.  Batches come grouped by a, in descending
+    order: the count field needs no differencing for its first axis, and
+    differences slowest along the last.
+    """
+    n, h = grid.n, grid.h
+    if not tubes:
+        return
+    centers = np.stack([t.segment_center for t in tubes])
+    dirs = np.stack([t.direction.u for t in tubes])
+    lengths = np.array([t.length for t in tubes])
+    radii = np.array([t.radius for t in tubes])
+    keys = _scan_axes(dirs)
+    _, by_dir = np.unique(dirs, axis=0, return_inverse=True)
+    order = np.lexsort((by_dir.ravel(), *keys.T[:0:-1], -keys[:, 0]))
+    # Rows per tube: about the cell count of the capsule's shadow along its axis.
+    width = 2.0 * radii / h + 3.0
+    tilt = np.sqrt(np.maximum(1.0 - np.max(dirs * dirs, axis=1), 0.0))
+    rows = ((lengths * tilt / h + width) * width ** (n - 2))[order]
+    per_batch = min(max(grid.total_cells // 128, _BATCH_ROWS[0]), _BATCH_ROWS[1])
+    new_key = np.ones(len(tubes), dtype=bool)
+    new_key[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
+    groups = [*np.flatnonzero(new_key).tolist(), len(tubes)]
+    for g0, g1 in zip(groups[:-1], groups[1:]):
+        batch = (np.cumsum(rows[g0:g1]) - rows[g0:g1]) // per_batch
+        cuts = [g0, *(g0 + np.flatnonzero(np.diff(batch)) + 1).tolist(), g1]
+        axes = keys[order[g0]].tolist()
+        for b0, b1 in zip(cuts[:-1], cuts[1:]):
+            idx = order[b0:b1]
+            tube, start, count = _batch_runs(grid, axes, centers[idx], dirs[idx], lengths[idx], radii[idx])
+            yield axes[0], idx[tube], start, count
+
+
+def _batch_runs(grid: Grid, axes, c, u, length, r):
+    """(tube, start, count) of the kept runs of one batch of `_tube_runs`.
+
+    A cell is kept exactly when `segment_point_distances(...) <= r + 1e-12`
+    holds at its center, but the test runs only on the two cells at each end
+    of a candidate run of `_scan_cells`.  The distance to a segment is
+    convex along a row, so when the inner two of them pass with
+    `_RUN_MARGIN` to spare, every cell between them passes too, and is kept
+    untested.  A row where that fails (a grazing row, a row with no kept
+    cell among the four) and a row of at most four cells get the test on
+    every cell.
+    """
+    n, m, h, lo = grid.n, grid.m, grid.h, grid.lo
+    a = axes[0]
+    others = [ax for ax in range(n) if ax != a]
+    tube, row_cells, first, last = _scan_cells(m, (c - lo) / h, u, length / (2.0 * h), (r + _SCAN_SLACK) / h, axes)
+    thr = r[tube] + 1e-12
+    # Cell centers are `lo + (multi + 0.5) * h`, here one coordinate at a time.
+    row_x = lo + (row_cells + 0.5) * h
+    span = last - first + 1
+    # The two cells at each end of every row of more than four.
+    long = np.flatnonzero(span > 4)
+    t = tube[long]
+    x = np.empty((4, long.size, n))
+    for k, ax in enumerate(others):
+        x[:, :, ax] = row_x[k, long]
+    x[:, :, a] = lo + (np.stack([first[long], first[long] + 1, last[long] - 1, last[long]]) + 0.5) * h
+    dist = segment_point_distances(x, c[t], u[t], length[t])
+    kept = dist <= thr[long]
+    sure = thr[long] - _RUN_MARGIN
+    ok = (dist[1] <= sure) & (dist[2] <= sure)
+    fast = long[ok]
+    # Every cell of the other rows.
+    slow = np.sort(np.concatenate([np.flatnonzero(span <= 4), long[~ok]]))
+    row, j = _ragged(span[slow])
+    row = slow[row]
+    pos = first[row] + j
+    t = tube[row]
+    x = np.empty((row.size, n))
+    x[:, others] = row_x[:, row].T
+    x[:, a] = lo + (pos + 0.5) * h
+    slow_row, slow_first, slow_last = _kept_runs(row, pos, segment_point_distances(x, c[t], u[t], length[t]) <= thr[row])
+    run_row = np.concatenate([fast, slow_row])
+    run_first = np.concatenate([first[fast] + (1 - kept[0, ok]), slow_first])
+    run_last = np.concatenate([last[fast] - (1 - kept[3, ok]), slow_last])
+    start = run_first * m ** (n - 1 - a)
+    for k, ax in enumerate(others):
+        start += row_cells[k, run_row] * m ** (n - 1 - ax)
+    return tube[run_row], start, run_last - run_first + 1
+
+
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, j): for each of sum(counts) slots, its row and its place 0 <= j <
+    counts[row] inside the row, row by row."""
+    row = np.repeat(np.arange(counts.size), counts)
+    return row, np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _kept_runs(row: np.ndarray, pos: np.ndarray, kept: np.ndarray):
+    """(row, first, last) of the maximal runs of kept consecutive cells, given
+    cells (row, pos) in row-major order."""
+    row, pos = row[kept], pos[kept]
+    new = np.ones(row.size, dtype=bool)
+    new[1:] = (row[1:] != row[:-1]) | (pos[1:] != pos[:-1] + 1)
+    end = np.ones(row.size, dtype=bool)
+    end[:-1] = new[1:]
+    return row[new], pos[new], pos[end]
+
+
+def _run_arrays(grid: Grid, runs) -> tuple[np.ndarray, ...]:
+    """(tube, start, count, step) per kept run of `_tube_runs`, where step is
+    the linear distance m^(n-1-a) between consecutive cells of the run."""
+    parts = [(tube, start, count, np.full(tube.size, grid.m ** (grid.n - 1 - a))) for a, tube, start, count in runs]
+    if not parts:
+        return tuple(np.empty(0, dtype=np.int64) for _ in range(4))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _run_cells(start: np.ndarray, count: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Linear indices of the cells of runs (start, count, step), run by run.
+
+    Every run holds a cell, so the cells are the cumulative sum of the steps
+    with each run's first step replaced by the jump from the previous cell:
+    one array of the cells' size.
+    """
+    cells = np.repeat(step, count)
+    cells[np.cumsum(count) - count] = start - np.append(0, start[:-1] + (count[:-1] - 1) * step[:-1])
+    return np.cumsum(cells, out=cells)
+
+
+def _scan_axes(u: np.ndarray) -> np.ndarray:
+    """Scan axes of `_scan_cells` for directions u (T, d): column l holds the
+    axis of recursion level l, indexed among the axes that the levels above
+    leave: the largest component of the level's (shadow) direction."""
+    T, d = u.shape
+    cols = []
+    while d > 1:
+        a = np.argmax(np.abs(u), axis=1)
+        cols.append(a)
+        uo = u[np.arange(d) != a[:, None]].reshape(T, d - 1)
+        tilt = np.sqrt(np.einsum("ij,ij->i", uo, uo))[:, None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            u = np.where(tilt > 0, uo / tilt, np.eye(d - 1)[0])
+        d -= 1
+    return np.stack(cols, axis=1)
+
+
+def _scan_cells(m: int, c: np.ndarray, u: np.ndarray, half: np.ndarray, r: np.ndarray, axes):
+    """Candidate runs of a batch of capsules: capsule i has radius r[i] around
+    the segment c[i] +- half[i] u[i], in grid units (cell x has its center at
+    x + 1/2 on each axis, and 0 <= x < m).  Returns (tube, rows, first, last)
+    for each row that meets a capsule: the capsule's index, the row's cell
+    index along each axis other than axes[0] (ascending; one line of `rows`
+    per axis), and the first and last candidate cell along axes[0].
 
     A scanline, the scanline form of Amanatides & Woo, "A Fast Voxel
-    Traversal Algorithm for Ray Tracing" (Eurographics 1987).  The scan axis
-    a is the largest component of u.  The rows are the cell rows over the
-    other d-1 axes that hold the capsule's shadow, its projection along axis
-    a: a (d-1)-dimensional capsule with the projected segment and the same
-    radius, whose candidates this function finds the same way.  A capsule is
-    convex, so each row meets it in one interval: the hull of the two
-    end-ball chords and of the infinite-cylinder chord clipped to the slab
-    |axial coordinate| <= half, each solved in closed form.  Every interval
-    is padded by one cell, so the candidates hold every cell whose center
-    lies within r.
+    Traversal Algorithm for Ray Tracing" (Eurographics 1987), over a batch
+    of capsules that share their scan axes (`_scan_axes`) at every level.
+    The scan axis a = axes[0] is the largest component of each u.  The rows
+    are the cell rows over the other d-1 axes that hold the capsule's
+    shadow, its projection along axis a: a (d-1)-dimensional capsule with the
+    projected segment and the same radius, whose candidates this function
+    finds the same way (scan axes axes[1:]).  A capsule is convex, so each
+    row meets it in one interval: the hull of the two end-ball chords and of
+    the infinite-cylinder chord clipped to the slab |axial coordinate| <=
+    half, each solved in closed form.  Every interval is padded by one cell,
+    so the candidates hold every cell whose center lies within r.
     """
-    d = c.size
+    d = c.shape[1]
     if d == 1:
-        reach = half * abs(float(u[0])) + r
-        first = max(math.ceil(c[0] - reach - 1.5), 0)
-        return np.arange(first, min(math.floor(c[0] + reach + 0.5), m - 1) + 1)[:, None]
-    a = int(np.argmax(np.abs(u)))
+        reach = half * np.abs(u[:, 0]) + r
+        first = np.maximum(np.ceil(c[:, 0] - reach - 1.5), 0.0)
+        last = np.minimum(np.floor(c[:, 0] + reach + 0.5), m - 1.0)
+        tube = np.flatnonzero(last >= first)
+        return tube, np.empty((0, tube.size), dtype=np.int64), first[tube].astype(np.int64), last[tube].astype(np.int64)
+    a = axes[0]
     others = [ax for ax in range(d) if ax != a]
     # Orient u so that u_a > 0 (a capsule is symmetric under u -> -u) and
     # renormalize, so that u_a^2 + tilt^2 = 1 holds to roundoff.
-    v = u * ((1.0 if u[a] > 0 else -1.0) / math.sqrt(float(u @ u)))
-    ua, uo = float(v[a]), v[others]
-    tilt2 = float(uo @ uo)
-    tilt = math.sqrt(tilt2)
-    shadow_u = uo / tilt if tilt > 0 else np.eye(d - 1)[0]
-    rows = _scan_cells(m, c[others], shadow_u, half * tilt, r)
+    v = u * (np.where(u[:, a] > 0, 1.0, -1.0) / np.sqrt(np.einsum("ij,ij->i", u, u)))[:, None]
+    ua, uo = v[:, a], v[:, others]
+    tilt2 = np.einsum("ij,ij->i", uo, uo)
+    tilt = np.sqrt(tilt2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        shadow_u = np.where(tilt[:, None] > 0, uo / tilt[:, None], np.eye(d - 1)[0])
+    tube, srows, sfirst, slast = _scan_cells(m, c[:, others], shadow_u, half * tilt, r, axes[1:])
+    # The shadow's candidate cells are the rows.
+    row, j = _ragged(slast - sfirst + 1)
+    tube = tube[row]
+    sa = axes[1] if d > 2 else 0
+    rows = np.empty((d - 1, row.size), dtype=np.int64)
+    rows[[ax for ax in range(d - 1) if ax != sa]] = srows[:, row]
+    rows[sa] = sfirst[row] + j
     # Offsets w of the row centers from c.  Along a row, s = x_a - c_a, and
     # the axial coordinate of a point is s u_a + b.
-    w = rows + (0.5 - c[others])
-    b = w @ uo
-    ww = np.einsum("ij,ij->i", w, w)
+    w = rows + (0.5 - c[:, others].T)[:, tube]
+    b = np.einsum("ij,ij->j", w, uo.T[:, tube])
+    ww = np.einsum("ij,ij->j", w, w)
+    # Per-capsule terms, taken to the rows.
+    ends, ua_half, end2, half2 = (half * ua)[tube], (half / ua)[tube], ((half * tilt) ** 2)[tube], (2.0 * half)[tube]
+    near = ((r + half * tilt) ** 2)[tube]
+    ua, tilt, tilt2, r = ua[tube], tilt[tube], tilt2[tube], r[tube]
     r2 = r * r
-    end2 = ww + (half * tilt) ** 2
-    with np.errstate(invalid="ignore"):
+    end2 += ww
+    half2b = half2 * b
+    with np.errstate(invalid="ignore", divide="ignore"):
         # End-ball chords around s = -+ half u_a; NaN where the row misses.
-        q_lo = np.sqrt(r2 - (end2 + 2.0 * half * b))
-        q_hi = np.sqrt(r2 - (end2 - 2.0 * half * b))
+        q_lo = np.sqrt(r2 - (end2 + half2b))
+        q_hi = np.sqrt(r2 - (end2 - half2b))
         # Infinite-cylinder chord, clipped to the slab |s u_a + b| <= half.
         bu = b / ua
-        slab_lo, slab_hi = -half / ua - bu, half / ua - bu
-        if tilt > _MIN_TILT:
-            mid = bu * (ua * ua / tilt2)
-            hw = np.sqrt(r2 - ww + b * b / tilt2) / tilt
-            cyl_lo, cyl_hi = np.maximum(mid - hw, slab_lo), np.minimum(mid + hw, slab_hi)
-            cyl = cyl_lo <= cyl_hi
-        else:
-            # Axis-parallel branch: the chord spans the slab whenever the row
-            # passes within r of the axis somewhere along the segment.
-            cyl_lo, cyl_hi = slab_lo, slab_hi
-            cyl = ww <= (r + half * tilt) ** 2
-        s_lo = np.fmin(np.fmin(-half * ua - q_lo, half * ua - q_hi), np.where(cyl, cyl_lo, np.nan))
-        s_hi = np.fmax(np.fmax(-half * ua + q_lo, half * ua + q_hi), np.where(cyl, cyl_hi, np.nan))
+        slab_lo, slab_hi = -ua_half - bu, ua_half - bu
+        # Below _MIN_TILT, the axis-parallel branch: the chord spans the slab
+        # whenever the row passes within r of the axis somewhere along the
+        # segment.  Tilted rows narrow the slab in place to the chord.
+        cyl_lo, cyl_hi = slab_lo, slab_hi
+        cyl = ww <= near
+        tilted = np.flatnonzero(tilt > _MIN_TILT)
+        if tilted.size:
+            bt, ut, t2 = b[tilted], ua[tilted], tilt2[tilted]
+            mid = bu[tilted] * (ut * ut / t2)
+            hw = np.sqrt(r2[tilted] - ww[tilted] + bt * bt / t2) / tilt[tilted]
+            cyl_lo[tilted] = np.maximum(mid - hw, slab_lo[tilted])
+            cyl_hi[tilted] = np.minimum(mid + hw, slab_hi[tilted])
+            cyl[tilted] = cyl_lo[tilted] <= cyl_hi[tilted]
+        s_lo = np.fmin(np.fmin(-ends - q_lo, ends - q_hi), np.where(cyl, cyl_lo, np.nan))
+        s_hi = np.fmax(np.fmax(-ends + q_lo, ends + q_hi), np.where(cyl, cyl_hi, np.nan))
         # Cells whose centers lie in [c_a + s_lo, c_a + s_hi], padded by one
         # cell; rows that miss the capsule carry NaN and get no candidates.
-        first = np.maximum(np.ceil(s_lo + (c[a] - 1.5)), 0.0)
-        last = np.minimum(np.floor(s_hi + (c[a] + 0.5)), m - 1.0)
-        hit = last >= first
-    counts = np.where(hit, last - first + 1.0, 0.0).astype(np.int64)
-    row_of = np.repeat(np.arange(rows.shape[0]), counts)
-    multi = np.empty((row_of.size, d), dtype=np.int64)
-    multi[:, others] = rows[row_of]
-    start = np.where(hit, first, 0.0).astype(np.int64) - (np.cumsum(counts) - counts)
-    multi[:, a] = start[row_of] + np.arange(row_of.size)
-    return multi
+        ca = c[:, a][tube]
+        first = np.maximum(np.ceil(s_lo + (ca - 1.5)), 0.0)
+        last = np.minimum(np.floor(s_hi + (ca + 0.5)), m - 1.0)
+        hit = np.flatnonzero(last >= first)
+    return tube[hit], rows[:, hit], first[hit].astype(np.int64), last[hit].astype(np.int64)
 
 
 def _check_dense_size(F: TubeFamily, grid: Grid) -> None:
@@ -322,13 +501,81 @@ def _check_dense_size(F: TubeFamily, grid: Grid) -> None:
     )
 
 
+def _field_counts(grid: Grid, runs) -> tuple[np.ndarray, np.ndarray, int]:
+    """(occ, counts, entries) of the kept runs of `_tube_runs`, counted in one
+    int64 field of the grid's cells.
+
+    For each scan axis a, the field is differenced along a in place, each
+    run adds +1 at its first cell and -1 one past its last (none when the run
+    ends on the grid's last cell along a, which would spill into the next
+    row), and a cumulative sum along a, in place, restores the counts.  The
+    field is the only full-size allocation.
+    """
+    m, n = grid.m, grid.n
+    dense = np.zeros(grid.total_cells, dtype=np.int64)
+    cube = dense.reshape((m,) * n)
+    entries = 0
+    for a, batches in itertools.groupby(runs, key=lambda b: b[0]):
+        if entries:
+            _difference(np.moveaxis(cube, a, 0))
+        step = m ** (n - 1 - a)
+        for _, _, start, count in batches:
+            entries += int(count.sum())
+            np.add.at(dense, start, 1)
+            inside = start // step % m + count < m
+            np.subtract.at(dense, start[inside] + count[inside] * step, 1)
+        np.cumsum(cube, axis=a, out=cube)
+    occ = np.flatnonzero(dense)
+    return occ, dense[occ], entries
+
+
+def _difference(slabs: np.ndarray) -> None:
+    """Replace `slabs` by its first differences along axis 0, in place, one
+    slab at a time, so that no full-size temporary is made."""
+    for i in range(len(slabs) - 1, 0, -1):
+        np.subtract(slabs[i], slabs[i - 1], out=slabs[i])
+
+
+class _TubeCells(Sequence):
+    """Sorted cell lists of a raster's tubes, expanded from its kept runs
+    (the batches of `_tube_runs`) when a list is first read."""
+
+    def __init__(self, grid: Grid, count: int, runs: list):
+        self._grid, self._count, self._runs = grid, count, runs
+        self._lists: list[np.ndarray] | None = None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i):
+        if self._lists is None:
+            tube, start, count, step = _run_arrays(self._grid, self._runs)
+            order = np.argsort(tube, kind="stable")
+            cells = _run_cells(start[order], count[order], step[order])
+            self._lists = np.split(cells, np.cumsum(np.bincount(tube, count, self._count).astype(np.int64))[:-1])
+            for c in self._lists:
+                c.sort()
+            self._runs = None
+        return self._lists[i]
+
+
 @dataclass
 class FamilyRaster:
     """Rasterization of one family on one grid.
 
-    `tube_cells` holds per-tube cell lists for families of at most
+    `FamilyRaster.build` scans the family's tubes in batches into kept runs
+    along rows of cells (`_tube_runs`) and counts the runs in one int64
+    field (`_field_counts`).  Families of more than PER_TUBE_LIMIT tubes are
+    always counted in the field.  A smaller family is counted by `np.unique`
+    over its cells instead when they number under a quarter of the grid's
+    cells (its arrays, about four copies of the cells, then stay smaller
+    than the field and take less time), or when the field exceeds
+    DENSE_BYTES_LIMIT.
+
+    `tube_cells` holds per-tube sorted cell lists for families of at most
     PER_TUBE_LIMIT tubes (required by the multilinear and grouping
-    evaluators); larger families keep only aggregate counts.
+    evaluators), expanded from the runs when a list is first read; larger
+    families keep only aggregate counts, and `tube_cells` is None.
     """
 
     family: TubeFamily
@@ -336,28 +583,25 @@ class FamilyRaster:
     occ: np.ndarray  # sorted linear indices of occupied cells
     counts: np.ndarray  # multiplicity per occupied cell
     entries: int  # sum over tubes of cells per tube
-    tube_cells: list[np.ndarray] | None = None
+    tube_cells: Sequence[np.ndarray] | None = None
     _index: tuple | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, F: TubeFamily, grid: Grid) -> "FamilyRaster":
         grid.check_resolves(F)
-        if len(F) <= PER_TUBE_LIMIT:
-            cells = [rasterize_tube(grid, t) for t in F.tubes]
-            concat = np.concatenate(cells) if cells else np.empty(0, dtype=np.int64)
-            occ, counts = np.unique(concat, return_counts=True)
-            return cls(F, grid, occ, counts, int(concat.size), cells)
-        _check_dense_size(F, grid)
-        dense = np.zeros(grid.total_cells, dtype=np.int64)
-        entries = 0
-        for t in F.tubes:
-            c = rasterize_tube(grid, t)
-            dense[c] += 1  # exact: the cells of one tube are unique
-            entries += c.size
-        occ = np.nonzero(dense)[0]
-        return cls(F, grid, occ, dense[occ], entries, None)
+        if len(F) > PER_TUBE_LIMIT:
+            _check_dense_size(F, grid)
+            return cls(F, grid, *_field_counts(grid, _tube_runs(grid, F.tubes)), None)
+        runs = list(_tube_runs(grid, F.tubes))
+        entries = sum(int(count.sum()) for _, _, _, count in runs)
+        if 4 * entries >= grid.total_cells and grid.total_cells * 8 <= DENSE_BYTES_LIMIT:
+            occ, counts, _ = _field_counts(grid, runs)
+        else:
+            _, start, count, step = _run_arrays(grid, runs)
+            occ, counts = np.unique(_run_cells(start, count, step), return_counts=True)
+        return cls(F, grid, occ, counts, entries, _TubeCells(grid, len(F), runs))
 
-    def require_tube_cells(self) -> list[np.ndarray]:
+    def require_tube_cells(self) -> Sequence[np.ndarray]:
         if self.tube_cells is None:
             raise GeometryError(
                 "family too large for per-tube cell lists; this evaluation "

@@ -13,6 +13,7 @@ demand; it takes no lock, so one net is not shared between threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -380,16 +381,42 @@ def _runs(spans) -> np.ndarray:
     return np.concatenate([np.arange(a, b) for a, b in merged] or [np.empty(0, np.int64)])
 
 
-def segment_point_distances(points: np.ndarray, center: np.ndarray, u: np.ndarray, length: float) -> np.ndarray:
+def segment_point_distances(points: np.ndarray, center: np.ndarray, u: np.ndarray, length) -> np.ndarray:
     """Distances from points (m, n) to the segment center +- (length/2) u.
 
     `center` may also be a stack of centers (..., 1, n) of segments sharing
     u, giving the distances (..., m) from the points to each segment.
+
+    Or point i may have its own segment: `center` and `u` of shape (m, n)
+    and `length` of shape (m,), with points of shape (..., m, n), so that
+    every leading index holds one point per segment.  Each run of equal
+    consecutive directions then takes one matrix-vector product `rel @ u`
+    per leading index, so every distance is the one that a call per
+    segment gives.  A run of a single point is taken as two equal rows:
+    numpy computes a lone row by its vector dot path, which may round
+    differently.
     """
     rel = points - center
-    t = rel @ u
+    if u.ndim == 1:
+        t = rel @ u
+    else:
+        t = np.empty(rel.shape[:-1])
+        cuts = (np.flatnonzero(np.any(u[1:] != u[:-1], axis=1)) + 1).tolist()
+        for s, e in zip([0, *cuts], [*cuts, len(u)]):
+            for lead in np.ndindex(rel.shape[:-2]):
+                block = rel[lead][s:e]
+                if len(block) == 1:
+                    block = np.repeat(block, 2, axis=0)
+                if len(block):
+                    t[lead][s:e] = (block @ u[s])[: e - s]
     np.clip(t, -0.5 * length, 0.5 * length, out=t)
-    return np.linalg.norm(rel - t[..., None] * u, axis=-1)
+    # The norm of rel - t u, summed one coordinate at a time in the order
+    # np.linalg.norm sums them, without its slow reduction over short rows.
+    total = 0.0
+    for k in range(rel.shape[-1]):
+        w = rel[..., k] - t * u[..., k]
+        total = total + w * w
+    return np.sqrt(total)
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +583,7 @@ class CapCover:
         return np.abs(dirs @ self._matrix.T) >= math.cos(self.rho) - 1e-12
 
 
+@functools.lru_cache(maxsize=None)
 def build_cap_cover(n: int, rho: float) -> CapCover:
     """Cover S^(n-1) by caps of diameter rho (ring-lattice construction).
 
@@ -564,6 +592,9 @@ def build_cap_cover(n: int, rho: float) -> CapCover:
     canonical vectors agree after rounding to 9 decimals, which merges the
     antipodal twins of the net (u and -u differ in the last bit); the first
     row of each class is kept, in net order.
+
+    A cover is built once per (n, rho) and then shared: `CapCover` is frozen
+    and its center matrix is read-only.
     """
     if n < 2:
         raise GeometryError("cap covers need ambient dimension >= 2")

@@ -128,7 +128,10 @@ class TestRasterization:
         rng = np.random.default_rng(5)
         F = generic_family(rng, 2, 1 / 16, 12)
         G = Grid.for_family(F, 4)
-        small = FamilyRaster.build(F, G)
+        # np.unique over the per-tube cells, against the count field.
+        with monkeypatch.context() as mp:
+            mp.setattr(functionals, "DENSE_BYTES_LIMIT", 0)
+            small = FamilyRaster.build(F, G)
         monkeypatch.setattr(functionals, "PER_TUBE_LIMIT", len(F) - 1)
         big = FamilyRaster.build(F, G)
         assert small.tube_cells is not None and big.tube_cells is None
@@ -153,6 +156,24 @@ class TestRasterization:
         assert raster.tube_cells is None
         assert peak < 2 * G.total_cells * 8 + 2**20, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_norm_only_build_peak_is_the_field(self):
+        # 640 tubes, below PER_TUBE_LIMIT, with 1.4M incidence entries on a
+        # grid of 88^3 cells (5.3 MiB as int64): a norm counts its runs in
+        # the field and expands no per-tube cell lists, which with their
+        # concatenation would take 2 x 11 MiB.
+        from tubelab.generators import gen_lines_in_planes
+
+        F = gen_lines_in_planes(3, 2, 1.0, 0.1)
+        G = Grid.for_family(F, 4)
+        assert len(F) == 640 and G.m == 88
+        tracemalloc.start()
+        try:
+            lp_norm_tube_sum(F, F.p, G)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * G.total_cells * 8 + 2**20, f"peak {peak / 2**20:.1f} MiB"
+
     def test_dense_field_over_limit_names_largest_factor(self, monkeypatch):
         rng = np.random.default_rng(6)
         F = generic_family(rng, 2, 1 / 16, 3)
@@ -165,6 +186,164 @@ class TestRasterization:
         monkeypatch.setattr(functionals, "DENSE_BYTES_LIMIT", 8)
         with pytest.raises(MemoryError, match="no grid with h <= delta/2 fits"):
             FamilyRaster.build(F, Grid.for_family(F, 2))
+
+
+def exact_raster(G, T):
+    """Sorted linear indices of the cells of T's bounding box, padded by one
+    cell, that pass the rasterizer's membership rule
+    segment_point_distances(...) <= r + 1e-12, tested on every cell."""
+    ends = np.stack(T.endpoints)
+    lo = np.maximum(np.floor((ends.min(axis=0) - T.radius - G.lo) / G.h).astype(int) - 1, 0)
+    hi = np.minimum(np.ceil((ends.max(axis=0) + T.radius - G.lo) / G.h).astype(int) + 1, G.m - 1)
+    box = np.meshgrid(*[np.arange(a, b + 1) for a, b in zip(lo, hi)], indexing="ij")
+    multi = np.stack(box, axis=-1).reshape(-1, G.n)
+    dist = segment_point_distances(G.lo + (multi + 0.5) * G.h, T.segment_center, T.direction.u, T.length)
+    return np.sort(np.ravel_multi_index(multi[dist <= T.radius + 1e-12].T, (G.m,) * G.n))
+
+
+def count_paths(monkeypatch, F, G):
+    """{path: raster} of F on G: the default build, the int64 count field
+    (forced by a family above PER_TUBE_LIMIT) and np.unique over the cells
+    (forced by a field above DENSE_BYTES_LIMIT)."""
+    rasters = {"default": FamilyRaster.build(F, G)}
+    with monkeypatch.context() as mp:
+        mp.setattr(functionals, "PER_TUBE_LIMIT", -1)
+        rasters["field"] = FamilyRaster.build(F, G)
+    with monkeypatch.context() as mp:
+        mp.setattr(functionals, "DENSE_BYTES_LIMIT", 0)
+        rasters["unique"] = FamilyRaster.build(F, G)
+    return rasters
+
+
+def assert_rasters_exact(monkeypatch, F, G):
+    """rasterize_tube, per-tube cell lists and the counts of every count path
+    equal the exact test applied to every cell; returns the cell lists."""
+    want = [exact_raster(G, T) for T in F.tubes]
+    for i, (T, cells) in enumerate(zip(F.tubes, want)):
+        np.testing.assert_array_equal(rasterize_tube(G, T), cells, err_msg=f"tube {i}")
+    occ, counts = np.unique(np.concatenate(want) if want else np.empty(0, dtype=np.int64), return_counts=True)
+    for path, raster in count_paths(monkeypatch, F, G).items():
+        np.testing.assert_array_equal(raster.occ, occ, err_msg=path)
+        np.testing.assert_array_equal(raster.counts, counts, err_msg=path)
+        assert raster.counts.dtype == counts.dtype and raster.entries == sum(c.size for c in want), path
+        assert (raster.tube_cells is None) == (path == "field")
+        if raster.tube_cells is not None:
+            assert len(raster.tube_cells) == len(want)
+            for got, cells in zip(raster.tube_cells, want):
+                np.testing.assert_array_equal(got, cells, err_msg=path)
+    return want
+
+
+class TestRunEdges:
+    """Run ends, grazing rows and the two count paths, against the exact test
+    on every cell.  The rasterizer tests only the cells at the ends of a
+    candidate run, so each case here puts a run end or a whole row at the
+    threshold."""
+
+    #: (delta, grid factor) per dimension, keeping the count fields small.
+    LAST_CELL_GRIDS = {2: (1 / 16, 4), 3: (1 / 4, 4), 4: (1 / 2, 2)}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_runs_ending_on_the_last_cell(self, n, monkeypatch):
+        # A tube along each axis ends on the ball's boundary, so its cap
+        # reaches the grid's last cell along that axis, and a mirrored one
+        # starts on the first; a slightly tilted one ends on the boundary too.  A -1 written one past the last cell would land in
+        # the next row of the field, or past its end.
+        delta, factor = self.LAST_CELL_GRIDS[n]
+        e = np.eye(n)
+        tubes = [Tube(s * 0.5 * e[a], Direction(e[a]), delta) for a in range(n) for s in (1, -1)]
+        tilted = [Direction(e[a] + 0.04 * e[(a + 1) % n]) for a in range(n)]
+        tubes += [Tube(0.5 * u.u, u, delta) for u in tilted]
+        F = family(tubes, delta, n)
+        G = Grid.for_family(F, factor)
+        want = assert_rasters_exact(monkeypatch, F, G)
+        for a in range(n):
+            multi = np.unravel_index(want[2 * a], (G.m,) * n)
+            assert (multi[a] == G.m - 1).any() and (np.unravel_index(want[2 * a + 1], (G.m,) * n)[a] == 0).any()
+
+    @staticmethod
+    def axis_at(y: float, dist: float) -> float:
+        """An axis coordinate y0 with fl(y - y0) == dist exactly."""
+        y0 = y - dist
+        for _ in range(8):
+            if y - y0 == dist:
+                return y0
+            y0 = np.nextafter(y0, -np.inf if y - y0 < dist else np.inf)
+        raise AssertionError(f"no axis at distance {dist!r} from {y!r}")
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_grazing_rows_of_axis_parallel_tubes(self, n, monkeypatch):
+        # Every cell of one row has the computed distance d to the axis of
+        # an axis-parallel tube: r and r -+ 1 ulp, r + 1e-12 (the threshold
+        # itself) and the next double above it.  Only the last is outside.
+        delta = 1 / 16
+        r = delta
+        thr = r + 1e-12
+        dists = [np.nextafter(r, 0.0), r, np.nextafter(r, 1.0), thr, np.nextafter(thr, 1.0)]
+        G = Grid.for_family(family([], delta, n), 4)
+        y = G.lo + (G.m // 2 + 0.5) * G.h
+        tubes = []
+        for i, d in enumerate(dists):
+            c = np.zeros(n)
+            c[1] = self.axis_at(y, d)
+            if n == 3:
+                c[2] = G.lo + (G.m // 2 - 8 + 4 * i + 0.5) * G.h
+            tubes.append(Tube(c, Direction(np.eye(n)[0]), delta))
+        F = family(tubes, delta, n)
+        want = assert_rasters_exact(monkeypatch, F, G)
+        for d, T, cells in zip(dists, tubes, want):
+            multi = np.stack(np.unravel_index(cells, (G.m,) * n), axis=1)
+            on_row = (G.lo + (multi[:, 1] + 0.5) * G.h == y) & (
+                np.ones(len(multi), dtype=bool) if n == 2 else G.lo + (multi[:, 2] + 0.5) * G.h == T.segment_center[2]
+            )
+            # Inside, the row holds every cell whose center projects onto the segment.
+            assert (on_row.sum() >= G.m // 4 - 1) == (d <= thr), (d, on_row.sum())
+
+    TILTS = [1e-9, 1e-7, 1e-6, 1.1e-6, 1e-5, 1e-3, 1e-1]
+
+    @pytest.mark.parametrize("factor", [2, 4, 8, 16, 32])
+    def test_tangent_rows_of_tilted_tubes(self, factor, monkeypatch):
+        # The stress construction of the scanline: a tube tilted off axis 0
+        # in the (0, 1) plane, with its center snapped so that a row of cell
+        # centers along axis 0 is tangent to its cylinder (at distance r
+        # from the axis, on either side), for tilts about the axis-parallel
+        # branch's 1e-6 switch.
+        delta = 1 / 2
+        G = Grid(3, delta / factor, 1.0 + delta)
+        mid = G.lo + (G.m // 2 + 0.5) * G.h
+        tubes = []
+        for tilt in self.TILTS:
+            for side in (-1.0, 1.0):
+                c = np.array([0.1, mid, mid + side * delta])
+                tubes.append(Tube(c, Direction([1.0, tilt, 0.0]), delta))
+        F = family(tubes, delta, 3)
+        assert_rasters_exact(monkeypatch, F, G)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_empty_and_one_tube_families(self, n, monkeypatch):
+        delta = 1 / 8
+        T = Tube(np.full(n, 0.1), Direction(np.arange(1.0, n + 1.0)), delta)
+        G = Grid.for_family(family([T], delta, n), 4)
+        for tubes in ([], [T]):
+            F = family(tubes, delta, n)
+            want = assert_rasters_exact(monkeypatch, F, G)
+            assert len(want) == len(tubes) and all(c.size > 0 for c in want)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_field_counts_equal_unique_counts(self, n, monkeypatch):
+        # Tubes near each axis and generic ones: runs along every scan axis,
+        # so the field is differenced and summed along each axis in turn.
+        rng = np.random.default_rng(60 + n)
+        delta = 1 / 4 if n == 3 else 1 / 2
+        tubes = list(generic_family(rng, n, delta, 12).tubes)
+        for a in range(n):
+            for _ in range(3):
+                u = np.eye(n)[a] + 0.3 * rng.normal(size=n)
+                u[a] = 2.0
+                tubes.append(Tube(rng.uniform(-0.2, 0.2, size=n), Direction(u), delta))
+        F = family(tubes, delta, n)
+        assert set(np.argmax(np.abs(F.direction_matrix()), axis=1).tolist()) == set(range(n))
+        assert_rasters_exact(monkeypatch, F, Grid.for_family(F, 4 if n == 3 else 2))
 
 
 class TestLpNorm:

@@ -1,5 +1,6 @@
 """Geometric primitives: metric, wedge volumes, tubes, cap covers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from tubelab.linegeom import (
     line_metric,
     line_of_tube,
     point_in_tube,
+    segment_point_distances,
     subspace_wedge,
     tuple_wedges,
     unit_ball_volume,
@@ -285,6 +287,39 @@ class TestTube:
         assert T3.volume() == pytest.approx(expected, abs=1e-12)
 
 
+class TestSegmentPointDistances:
+    @staticmethod
+    def reference(points, center, u, length):
+        """The distances as one call per segment computed them: one
+        matrix-vector product and np.linalg.norm."""
+        rel = points - center
+        t = np.clip(rel @ u, -0.5 * length, 0.5 * length)
+        return np.linalg.norm(rel - t[..., None] * u, axis=-1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_bitwise_equal_to_one_call_per_segment(self, n):
+        # The rasterizer's membership test is `<= r + 1e-12` on these values,
+        # so every path must give the same bits, not just close values.
+        rng = np.random.default_rng(70 + n)
+        dirs = random_units(rng, 4, n)
+        u = np.repeat(dirs, [300, 1, 250, 2], axis=0)
+        m = len(u)
+        center, length = rng.normal(size=(m, n)), rng.uniform(0.5, 3.0, m)
+        points = rng.normal(size=(3, m, n))
+        got = segment_point_distances(points, center, u, length)
+        for lead in range(3):
+            for i in range(m):
+                # Two rows: numpy computes a single row by its dot path.
+                want = self.reference(points[lead, i : i + 1].repeat(2, axis=0), center[i], u[i], length[i])
+                assert got[lead, i] == want[0], (lead, i)
+        flat = segment_point_distances(points[0], center, u, length)
+        assert np.array_equal(flat, got[0])
+        one = rng.normal(size=(500, n))
+        assert np.array_equal(segment_point_distances(one, center[0], u[0], 1.5), self.reference(one, center[0], u[0], 1.5))
+        stack = rng.normal(size=(6, 1, n))
+        assert np.array_equal(segment_point_distances(one, stack, u[0], 1.5), self.reference(one, stack, u[0], 1.5))
+
+
 class TestLineOfTube:
     def test_axis_tube(self):
         T = Tube([0.0, 0.0], Direction([1.0, 0.0]), 0.1)
@@ -450,6 +485,16 @@ class TestCapCover:
         assert dots.max() < 1.0 - 1e-9
         rows = iter(Direction(row).u.tobytes() for row in SphereNet(n, rho).rows)
         assert all(c.u.tobytes() in rows for c in cov.centers)
+
+    def test_cover_shared_per_key(self):
+        # One cover per (n, rho), equal to a fresh build and immutable.
+        cov = build_cap_cover(3, 0.25)
+        assert build_cap_cover(3, 0.25) is cov and build_cap_cover(3, 0.125) is not cov
+        fresh = build_cap_cover.__wrapped__(3, 0.25)
+        assert fresh is not cov and fresh.center_matrix.tobytes() == cov.center_matrix.tobytes()
+        assert not cov.center_matrix.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cov.rho = 0.5
 
     def test_caps_containing_matches_bruteforce(self):
         cov = build_cap_cover(3, 0.3)
