@@ -316,6 +316,9 @@ def _parallel_line_set(n_lines: int, delta: float) -> list[Line]:
 
 
 def _run_thin(params: dict, seed: int):
+    for name in ("n_lines", "seeds", "binomial_trials"):
+        if int(params[name]) < 1:
+            raise ValueError(f"{name} must be >= 1, got {params[name]!r}")
     n_lines = int(params["n_lines"])
     delta = float(params["delta"])
     n_seeds = int(params["seeds"])

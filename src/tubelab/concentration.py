@@ -15,10 +15,15 @@ and cannot attain the maximum of any scan.
 One routine, `BallNet._incidences`, finds every (center, line) candidate
 pair as arrays, at one radius or at several in one pass: lattice feet in a
 budget box per (line, net direction) pair, foot bases from each net's table,
-distinct centers by one `np.unique`.  A scan is a `bincount` over the pairs
-within r + 1e-12; incremental counts (all radii at once) and the coverage and
-overlap probes read the same arrays for one line, so every membership test
-compares the same distances with r + 1e-12.
+distinct centers by one `np.unique`.  Incremental counts (all radii at once)
+and the coverage and overlap probes read the same arrays for one line, so
+every membership test compares the same distances with r + 1e-12.
+
+Which balls contain which lines does not depend on which of them are kept,
+so the pairs of a line set within r + 1e-12 are found once per radius and
+kept on the net for the last line set asked about.  Every ball count, a
+scan of the whole set and each subset a thinning attempt keeps, is one
+`bincount` of those pairs under a mask of the lines.
 """
 
 from __future__ import annotations
@@ -74,7 +79,10 @@ class BallNet:
 
     `_incidences` is the one incidence path: scans, candidate keys,
     incremental counts and the coverage and overlap probes all read its
-    (center, line) pair arrays.
+    (center, line) pair arrays.  The net keeps the contained pairs of the
+    last line set it counted, keyed by the bytes of its feet and directions
+    and filled radius by radius on demand; `_max_count` counts the whole set
+    or any masked subset of it from them.
     """
 
     n: int
@@ -82,6 +90,8 @@ class BallNet:
     radii: tuple[float, ...]
     overlap_bound: int
     _nets: dict = field(default_factory=dict, repr=False)
+    _kept_key: tuple | None = field(default=None, repr=False, compare=False)
+    _kept: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(cls, n: int, delta: float) -> "BallNet":
@@ -108,9 +118,10 @@ class BallNet:
     def _incidences(self, radii, feet: np.ndarray, dirs: np.ndarray):
         """Every candidate (center, line) pair at the given radii, as arrays.
 
-        Returns (centers, center_of, dist): the distinct candidate centers
-        as int64 rows (radius index, w_idx, *j) in lexicographic order, and
-        for each pair its center's index and its distance |x - x'| + wedge.
+        Returns (centers, center_of, dist, line_of): the distinct candidate
+        centers as int64 rows (radius index, w_idx, *j) in lexicographic
+        order, and for each pair its center's index, its distance
+        |x - x'| + wedge and its line's index.
         A line's candidates at radius r are, for every net row within
         asin(r) of its direction, the lattice feet in the box
         |j r/2 - Q x| <= r - wedge around its projected foot, so every center
@@ -165,8 +176,9 @@ class BallNet:
         at = pair_of[first]
         centers = np.column_stack([ri[at], w[at], j[first]])
         cfeet = np.einsum("kij,ki->kj", bases[at], j[first] * g[at, None])
-        dist = np.linalg.norm(cfeet[center_of] - feet[line_of[pair_of]], axis=1) + wedge[pair_of]
-        return centers, center_of, dist
+        pair_line = line_of[pair_of]
+        dist = np.linalg.norm(cfeet[center_of] - feet[pair_line], axis=1) + wedge[pair_of]
+        return centers, center_of, dist, pair_line
 
     def candidate_keys(self, r: float, feet: np.ndarray, dirs: np.ndarray) -> dict:
         """The candidate centers of the given lines: every net center within r
@@ -187,10 +199,33 @@ class BallNet:
 
         Returns (max value, key of the first attaining ball in key order).
         """
-        centers, center_of, dist = self._incidences((r,), feet, dirs)
-        counts = np.bincount(center_of[dist <= r + 1e-12], minlength=len(centers))
+        return self._max_count(r, feet, dirs)
+
+    def _max_count(self, r: float, feet: np.ndarray, dirs: np.ndarray, mask: np.ndarray | None = None):
+        """`scan` of the lines that `mask` keeps (all of them by default).
+
+        The (center, line) pairs within r + 1e-12 of the whole set are found
+        once and kept for the last set asked about; a subset's counts are a
+        `bincount` of the pairs whose line it keeps.  Centers stay in key
+        order, so the first attaining key is the one a scan of the subset
+        alone finds whenever its maximum is positive.
+        """
+        key = (feet.tobytes(), dirs.tobytes())
+        if key != self._kept_key:
+            self._kept_key, self._kept = key, {}
+        if r not in self._kept:
+            centers, center_of, dist, line_of = self._incidences((r,), feet, dirs)
+            inside = dist <= r + 1e-12
+            # Only centers holding a line can attain a positive maximum; the
+            # first candidate stays too, as the key of an all-zero scan.
+            used = np.union1d(center_of[inside], [0])
+            ball_of = np.searchsorted(used, center_of[inside]).astype(np.int32)
+            self._kept[r] = (centers[used, 1:], ball_of, line_of[inside].astype(np.int32))
+        balls, ball_of, line_of = self._kept[r]
+        held = ball_of if mask is None else ball_of[mask[line_of]]
+        counts = np.bincount(held, minlength=len(balls))
         best = int(np.argmax(counts))
-        return float(counts[best]), (r, *centers[best, 1:].tolist())
+        return float(counts[best]), (r, *balls[best].tolist())
 
     def nearest_center_distance(self, r: float, line: Line) -> float:
         """Distance from a line to its nearest net center at radius r (coverage probe)."""
@@ -236,16 +271,19 @@ def check_ball_condition(
 
     Returns (ok, (radius, key, count, bound)) with the worst violation if any.
     """
-    s = concentration_exponent(d, beta)
     feet, dirs = _line_arrays(lines)
-    n_lines = len(lines)
+    return _check_kept(net, feet, dirs, None, len(lines), delta, concentration_exponent(d, beta))
+
+
+def _check_kept(net: BallNet, feet, dirs, mask, n_kept: int, delta: float, s: float):
+    """`check_ball_condition` on the `n_kept` lines that `mask` keeps."""
     worst = None
     worst_excess = 1.0
     for r in net.radii:
         bound = (r / delta) ** s
-        if bound >= n_lines:
+        if bound >= n_kept:
             continue
-        count, key = net.scan(r, feet, dirs)
+        count, key = net._max_count(r, feet, dirs, mask)
         if count > bound * (1.0 + 1e-12) and count / bound > worst_excess:
             worst_excess = count / bound
             worst = (r, key, count, bound)
@@ -280,7 +318,7 @@ class IncrementalBallCounter:
 
     def _containing(self, line: Line) -> np.ndarray:
         """Rows (radius index, w_idx, *j) of every net ball containing the line, in key order."""
-        centers, center_of, dist = self.net._incidences(self.net.radii, line.x[None], line.u.u[None])
+        centers, center_of, dist, _ = self.net._incidences(self.net.radii, line.x[None], line.u.u[None])
         return centers[np.sort(center_of[dist <= self._limits[centers[center_of, 0]]])]
 
     def _containing_keys(self, line: Line) -> list[tuple]:
@@ -341,25 +379,32 @@ def random_thin(
 
     The sample must retain at least half its expected size and satisfy the
     non-concentration ball condition over the net; up to `max_attempts`
-    seeds derived from the base seed are tried.
+    seeds derived from the base seed are tried.  Each attempt is counted by
+    mask from the net's incidence table of `L3`, built once.
     """
     L3 = list(L3)
+    if not L3:
+        raise GeometryError("random thinning needs a non-empty line set")
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     q = delta ** (2.0 * eps) / (C0 * A)
     if not 0.0 < q <= 1.0 + 1e-12:
         raise ValueError(f"selection probability {q} outside (0, 1]")
     q = min(q, 1.0)
+    s = concentration_exponent(d, beta)
+    feet, dirs = _line_arrays(L3)
     worst_seen = None
     for attempt in range(max_attempts):
         rng = np.random.default_rng([int(seed), attempt])
         mask = rng.random(len(L3)) < q
-        kept = [l for l, m in zip(L3, mask) if m]
-        if 2 * len(kept) < q * len(L3):
+        n_kept = int(np.count_nonzero(mask))
+        if 2 * n_kept < q * len(L3):
             continue
-        if not kept:
+        if not n_kept:
             continue
-        ok, worst = check_ball_condition(kept, delta, d, beta, net)
+        ok, worst = _check_kept(net, feet, dirs, mask, n_kept, delta, s)
         if ok:
-            return ThinningResult(tuple(kept), attempt + 1, q)
+            return ThinningResult(tuple(l for l, m in zip(L3, mask) if m), attempt + 1, q)
         worst_seen = worst
     raise ThinningError(
         f"thinning failed on {max_attempts} attempts (q={q:.4g}, N={len(L3)})",

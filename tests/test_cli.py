@@ -169,7 +169,17 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), *parallel]) == 2
         err = capsys.readouterr().err
-        assert err == "error in scenario thin0: ball condition needs a non-empty line set\n"
+        assert err == "error in scenario thin0: n_lines must be >= 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param", ["n_lines", "seeds", "binomial_trials"])
+    def test_thin_counts_below_one_exit_two(self, tmp_path, capsys, param):
+        """A thin count of 0 is named in one error line, not a ZeroDivisionError."""
+        thin = {"name": "thin0", "scenario": "thin", "seed": 0, "params": {param: 0}}
+        cfg = self._config_file(tmp_path, [thin])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error in scenario thin0: {param} must be >= 1, got 0\n"
         assert not out.exists()
 
     def test_byte_identical_rerun_on_disk(self, tmp_path, capsys):

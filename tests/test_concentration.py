@@ -12,6 +12,7 @@ from tubelab.concentration import (
     ThinningError,
     ball_condition_worst_ratio,
     check_ball_condition,
+    concentration_exponent,
     random_thin,
     worst_ratio_of_lines,
 )
@@ -161,7 +162,7 @@ class PerRadiusCounter:
     def keys(self, line):
         found = []
         for r in self.net.radii:
-            centers, center_of, dist = self.net._incidences((r,), line.x[None], line.u.u[None])
+            centers, center_of, dist, _ = self.net._incidences((r,), line.x[None], line.u.u[None])
             found += [(r, *c[1:]) for c in centers[np.sort(center_of[dist <= r + 1e-12])].tolist()]
         return found
 
@@ -343,6 +344,117 @@ class TestRandomThin:
         assert err.value.worst_ball is not None
         r, key, count, bound = err.value.worst_ball
         assert count > bound
+
+    def test_empty_line_set_rejected(self):
+        with pytest.raises(GeometryError, match="non-empty line set"):
+            random_thin([], A=1.0, C0=1.0, eps=0.0, delta=2.0**-4, seed=0,
+                        net=BallNet.build(2, 2.0**-4), d=1, beta=1.0)
+
+    @pytest.mark.parametrize("max_attempts", [0, -1])
+    def test_attempts_below_one_rejected(self, max_attempts):
+        with pytest.raises(ValueError, match="max_attempts must be >= 1"):
+            random_thin(parallel_lines(4, 2.0**-2), A=1.0, C0=1.0, eps=0.0, delta=2.0**-4, seed=0,
+                        net=BallNet.build(2, 2.0**-4), d=1, beta=1.0, max_attempts=max_attempts)
+
+
+def reference_thin(lines, q, seed, delta, s, radii, max_attempts):
+    """Per-attempt thinning: redraw each attempt's mask and check the kept
+    lines with all-pairs counts over every net center (`full_net_max`).
+
+    Returns ("ok", kept, attempts) or ("fail", kept, (r, count, bound)) with
+    the last failing attempt's kept lines and worst ball."""
+    n = lines[0].n
+    failed = None
+    for attempt in range(max_attempts):
+        mask = np.random.default_rng([seed, attempt]).random(len(lines)) < q
+        kept = [l for l, m in zip(lines, mask) if m]
+        if 2 * len(kept) < q * len(lines) or not kept:
+            continue
+        worst, excess = None, 1.0
+        for r in radii:
+            bound = (r / delta) ** s
+            if bound >= len(kept):
+                continue
+            count = full_net_max(n, r, kept)
+            if count > bound * (1.0 + 1e-12) and count / bound > excess:
+                worst, excess = (r, count, bound), count / bound
+        if worst is None:
+            return "ok", kept, attempt + 1
+        failed = kept, worst
+    return ("fail", *failed) if failed else ("fail", [], None)
+
+
+class TestRandomThinAgainstReference:
+    """Thinning counted by mask from one incidence table gives the outcome of
+    re-checking every attempt's kept lines against the whole net."""
+
+    #: n -> (delta, d, number of lines); the (seed, A, beta) cases below give
+    #: first- and second-attempt successes and failures on these sets.
+    SETUPS = {2: (2.0**-5, 1, 20), 3: (0.5, 2, 12)}
+    CASES = [(0, 2.0, 1.0), (0, 2.0, 0.5), (2, 2.0, 1.0), (5, 4.0, 1.0), (7, 4.0, 1.0)]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", ["random", "clustered", "concentrated"])
+    def test_outcomes_match(self, n, kind):
+        delta, d, count = self.SETUPS[n]
+        rng = np.random.default_rng([n, len(kind)])
+        if kind == "random":
+            lines = random_lines(rng, count, n, max_foot=0.5)
+        else:
+            lines = clustered_lines(rng, count, n, 0.3 if kind == "clustered" else delta / 8)
+        net = BallNet.build(n, delta)
+        outcomes = []
+        for seed, A, beta in self.CASES:
+            s = concentration_exponent(d, beta)
+            expected = reference_thin(lines, 1.0 / A, seed, delta, s, net.radii, max_attempts=3)
+            try:
+                res = random_thin(lines, A=A, C0=1.0, eps=0.0, delta=delta, seed=seed,
+                                  net=net, d=d, beta=beta, max_attempts=3)
+                got = ("ok", list(res.lines), res.attempts)
+            except ThinningError as err:
+                worst = err.worst_ball
+                if worst is not None:
+                    r, key, held, bound = worst
+                    center = net.center_line(r, key[1], tuple(key[2:]))
+                    assert sum(line_metric(line, center) <= r + 1e-12 for line in expected[1]) == held, (seed, key)
+                    worst = (r, held, bound)
+                got = ("fail", expected[1], worst)
+            assert got == expected, (seed, A, beta)
+            outcomes.append(got[0])
+        if kind == "concentrated":
+            assert set(outcomes) == {"fail"}
+        if kind == "random":
+            assert "ok" in outcomes
+
+
+class TestKeptIncidences:
+    """The net keeps one line set's incidences; every other set, a reordering
+    or a superset included, gets its own counts."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_results_equal_a_fresh_net(self, n):
+        delta = 2.0**-4
+        rng = np.random.default_rng(n)
+        a = clustered_lines(rng, 10, n, 0.05)
+        b = random_lines(rng, 10, n, max_foot=0.5)
+        sets = [a, b, a, [a[i] for i in rng.permutation(len(a))], a + b[:1], random_lines(rng, 10, n, max_foot=0.5)]
+
+        def outcome(lines, net):
+            feet, dirs = np.stack([l.x for l in lines]), np.stack([l.u.u for l in lines])
+            scans = [net.scan(r, feet, dirs) for r in net.radii]
+            try:
+                res = random_thin(lines, A=2.0, C0=1.0, eps=0.0, delta=delta, seed=5,
+                                  net=net, d=1, beta=1.0, max_attempts=3)
+                thin = (res.lines, res.attempts)
+            except ThinningError as err:
+                thin = err.worst_ball
+            return scans, check_ball_condition(lines, delta, 1, 1.0, net), thin
+
+        net = BallNet.build(n, delta)
+        for lines in sets:
+            assert outcome(lines, net) == outcome(lines, BallNet.build(n, delta))
+        last = sets[-1]
+        assert net._kept_key == (np.stack([l.x for l in last]).tobytes(), np.stack([l.u.u for l in last]).tobytes())
 
 
 class TestCheckBallCondition:
