@@ -216,11 +216,17 @@ def _check(name: str, passed: bool, value, bound) -> dict:
 
 
 def _run_dichotomy(params: dict, seed: int):
+    for name in ("trials", "max_directions"):
+        if int(params[name]) < 1:
+            raise ValueError(f"{name} must be >= 1, got {params[name]!r}")
+    if not params["rhos"]:
+        raise ValueError(f"rhos must be a non-empty list, got {params['rhos']!r}")
     trials = int(params["trials"])
     rhos = [float(r) for r in params["rhos"]]
     max_n = int(params["max_directions"])
     verified = 0
     ratio_max = 0.0
+    degenerate_index: dict[str, int] = {}
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         n = int(rng.integers(2, 4))
@@ -242,9 +248,12 @@ def _run_dichotomy(params: dict, seed: int):
         )
         if ok:
             verified += 1
+        if res.variant == "B":
+            j = str(res.degenerate_index)
+            degenerate_index[j] = degenerate_index.get(j, 0) + 1
         if trial % 16 == 0:
             ratio_max = max(ratio_max, control_card_ratio(U, k, rho, seed=trial))
-    values = {"trials": trials, "verified": verified}
+    values = {"trials": trials, "verified": verified, "degenerate_index": degenerate_index}
     constants = {"max_control_ratio": ratio_max}
     checks = [
         _check("all_certificates_verified", verified == trials, verified, trials),

@@ -271,6 +271,8 @@ def check_ball_condition(
 
     Returns (ok, (radius, key, count, bound)) with the worst violation if any.
     """
+    if len(lines) == 0:
+        raise GeometryError("ball condition needs a non-empty line set")
     feet, dirs = _line_arrays(lines)
     return _check_kept(net, feet, dirs, None, len(lines), delta, concentration_exponent(d, beta))
 

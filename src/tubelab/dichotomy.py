@@ -4,7 +4,8 @@ For a multiset U of unit vectors, either at least half of all ordered
 k-tuples are quantitatively transverse (wedge volume >= rho^(k-1)), or a
 fixed fraction 2^(-2k) of U lies within rho of a single (k-1)-dimensional
 subspace.  `decide_dichotomy` constructs a certificate for one of the two
-options and re-verifies it exhaustively before returning.
+options and re-verifies it exhaustively before returning.  Both run on the
+multiset's direction matrix, stacked once.
 
 All threshold comparisons against the combinatorial bounds use exact integer
 arithmetic; only the wedge volumes themselves are floating point.
@@ -12,20 +13,12 @@ arithmetic; only the wedge volumes themselves are floating point.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linegeom import (
-    Direction,
-    GeometryError,
-    Subspace,
-    complete_orthonormal,
-    subspace_wedge,
-    tuple_wedges,
-)
+from .linegeom import Direction, GeometryError, Subspace, complete_orthonormal, tuple_wedges
 
 #: Exhaustive tuple enumeration is used only up to this many tuples.
 EXHAUSTIVE_BUDGET = 10**6
@@ -44,7 +37,7 @@ class UncertifiedDichotomyError(RuntimeError):
 
 @dataclass(frozen=True)
 class DirectionMultiset:
-    """A non-empty multiset of directions in a common dimension."""
+    """A non-empty multiset of directions in R^n, stacked once into a read-only matrix."""
 
     items: tuple[Direction, ...]
     n: int
@@ -56,14 +49,17 @@ class DirectionMultiset:
         n = items[0].n
         if any(d.n != n for d in items):
             raise GeometryError("all directions must share one ambient dimension")
+        mat = np.stack([d.u for d in items])
+        mat.setflags(write=False)
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_matrix", mat)
 
     def __len__(self) -> int:
         return len(self.items)
 
     def matrix(self) -> np.ndarray:
-        return np.stack([d.u for d in self.items])
+        return self._matrix
 
 
 @dataclass(frozen=True)
@@ -75,23 +71,34 @@ class DichotomyResult:
     threshold_used: float | None = None
     witness: Subspace | None = None
     captured_count: int | None = None
+    degenerate_index: int | None = None  # j* of variant B
 
 
-def _check_budget(N: int, k: int) -> None:
-    if N**k > EXHAUSTIVE_BUDGET:
+def _check_tuples(U: DirectionMultiset, k: int) -> None:
+    if not 2 <= k <= U.n:
+        raise GeometryError(f"need 2 <= k <= n, got k={k}, n={U.n}")
+    if len(U) ** k > EXHAUSTIVE_BUDGET:
         raise BudgetError(
-            f"{N}^{k} tuples exceed the exhaustive budget of {EXHAUSTIVE_BUDGET}; "
+            f"{len(U)}^{k} tuples exceed the exhaustive budget of {EXHAUSTIVE_BUDGET}; "
             "use a smaller multiset or a smaller k"
         )
 
 
+def _captures(mat: np.ndarray, bases: np.ndarray, rho: float):
+    """#{rows u of mat : |H ^ u| <= rho} for H spanned by the orthonormal rows of `bases`
+    (m, n), or per basis of a stack (P, m, n); bit for bit `subspace_wedge`."""
+    B = bases[..., None, :, :]
+    proj = np.swapaxes(B, -1, -2) @ (B @ mat[:, :, None])
+    r = mat - proj[..., 0]
+    wedge = np.minimum(np.sqrt(r[..., None, :] @ r[..., :, None])[..., 0, 0], 1.0)
+    return np.count_nonzero(wedge <= rho, axis=-1)
+
+
 def count_spread_tuples(U: DirectionMultiset, k: int, rho: float) -> int:
     """Exact number of ordered k-tuples whose wedge volume is >= rho^(k-1)."""
-    if not 2 <= k <= U.n:
-        raise GeometryError(f"need 2 <= k <= n, got k={k}, n={U.n}")
+    _check_tuples(U, k)
     if not 0.0 <= rho <= 1.0:
         raise GeometryError(f"rho must lie in [0, 1], got {rho}")
-    _check_budget(len(U), k)
     w = tuple_wedges([U.matrix()] * k)
     return int(np.count_nonzero(w >= rho ** (k - 1)))
 
@@ -109,8 +116,7 @@ def verify_option_b(U: DirectionMultiset, k: int, rho: float, H: Subspace) -> bo
     """Per-element capture test: #{u : |H ^ u| <= rho} must reach 2^(-2k) N."""
     if H.k != k - 1 or H.n != U.n:
         return False
-    captured = sum(1 for d in U.items if subspace_wedge(H, d) <= rho)
-    return captured * 4**k >= len(U)
+    return int(_captures(U.matrix(), H.basis, rho)) * 4**k >= len(U)
 
 
 def decide_dichotomy(U: DirectionMultiset, k: int, rho: float) -> DichotomyResult:
@@ -125,15 +131,14 @@ def decide_dichotomy(U: DirectionMultiset, k: int, rho: float) -> DichotomyResul
     of a 1-prefix is identically 1, so its non-degeneracy condition
     (wedge >= rho^0) holds with equality.
     """
-    if not 2 <= k <= U.n:
-        raise GeometryError(f"need 2 <= k <= n, got k={k}, n={U.n}")
+    _check_tuples(U, k)
     if not 0.0 < rho <= 1.0:
         raise GeometryError(f"rho must lie in (0, 1], got {rho}")
     N = len(U)
-    _check_budget(N, k)
     mat = U.matrix()
+    wedges = {j: tuple_wedges([mat] * j) for j in range(1, k + 1)}
 
-    spread = count_spread_tuples(U, k, rho)
+    spread = int(np.count_nonzero(wedges[k] >= rho ** (k - 1)))
     if 2 * spread >= N**k:
         result = DichotomyResult(
             variant="A", good_tuple_count=spread, threshold_used=rho ** (k - 1)
@@ -144,44 +149,29 @@ def decide_dichotomy(U: DirectionMultiset, k: int, rho: float) -> DichotomyResul
             )
         return result
 
-    # Smallest j in [2, k] with at least 2^(2j-2k-1) N^j degenerate j-tuples.
-    j_star = None
+    # j*: the smallest j with 2^(2j-2k-1) N^j degenerate j-tuples, in exact integers.
     for j in range(2, k + 1):
-        w_j = tuple_wedges([mat] * j)
-        degenerate = int(np.count_nonzero(w_j < rho ** (j - 1)))
-        # degenerate >= 2^(2j-2k-1) N^j, in exact integer arithmetic.
-        if degenerate * 2 ** (2 * k + 1 - 2 * j) >= N**j:
-            j_star = j
+        if int(np.count_nonzero(wedges[j] < rho ** (j - 1))) * 2 ** (2 * k + 1 - 2 * j) >= N**j:
             break
-    if j_star is None:
+    else:
         raise UncertifiedDichotomyError(
             f"no degenerate index found for N={N}, k={k}, rho={rho}"
         )
 
-    j = j_star
-    prefix_wedges = tuple_wedges([mat] * (j - 1))
-    full_wedges = tuple_wedges([mat] * j)
-    best_near_miss = (-1, None)
-    witness_prefix = None
-    for prefix in itertools.product(range(N), repeat=j - 1):
-        if prefix_wedges[prefix] < rho ** (j - 2):
-            continue
-        captures = int(np.count_nonzero(full_wedges[prefix] < rho ** (j - 1)))
-        if captures * 2 ** (2 * k + 2 - 2 * j) >= N:
-            witness_prefix = prefix
-            break
-        if captures > best_near_miss[0]:
-            best_near_miss = (captures, prefix)
-    if witness_prefix is None:
+    # Spanning (j-1)-prefixes with 2^(2j-2k-2) N near-planar completions, lexicographic.
+    captures = np.count_nonzero(wedges[j] < rho ** (j - 1), axis=-1)
+    spanning = wedges[j - 1] >= rho ** (j - 2)
+    hits = np.argwhere(spanning & (captures * 2 ** (2 * k + 2 - 2 * j) >= N))
+    if not len(hits):
         raise UncertifiedDichotomyError(
             f"no witness prefix found at j={j} (best capture count "
-            f"{best_near_miss[0]}, spread count {spread} of {N ** k})"
+            f"{int(captures[spanning].max(initial=-1))}, spread count {spread} of {N ** k})"
         )
 
-    W = np.linalg.qr(mat[list(witness_prefix)].T)[0].T
+    W = np.linalg.qr(mat[hits[0]].T)[0].T
     H = Subspace(complete_orthonormal(W, U.n)[: k - 1])
-    captured = sum(1 for d in U.items if subspace_wedge(H, d) <= rho)
-    result = DichotomyResult(variant="B", witness=H, captured_count=captured)
+    captured = int(_captures(mat, H.basis, rho))
+    result = DichotomyResult(variant="B", witness=H, captured_count=captured, degenerate_index=j)
     if not verify_option_b(U, k, rho, H):
         raise UncertifiedDichotomyError(
             f"option B failed re-verification (captured {captured} of {N}, "
@@ -199,30 +189,19 @@ def control_card_ratio(U: DirectionMultiset, k: int, rho: float, seed: int = 0) 
     occurs) together with a fixed number of seeded random subspaces; an
     under-approximated supremum only makes the reported ratio larger.
     """
-    if not 2 <= k <= U.n:
-        raise GeometryError(f"need 2 <= k <= n, got k={k}, n={U.n}")
-    N = len(U)
+    _check_tuples(U, k)
     mat = U.matrix()
-    _check_budget(N, k)
     wedge_sum = float(tuple_wedges([mat] * k).sum())
 
-    candidates: list[Subspace] = []
+    rng = np.random.default_rng(seed)
+    probes = np.linalg.qr(rng.normal(size=(RANDOM_SUBSPACE_PROBES, U.n, k - 1)))[0]
+    best_capture = int(_captures(mat, np.swapaxes(probes, -1, -2), rho).max())
     try:
         res = decide_dichotomy(U, k, rho)
         if res.variant == "B":
-            candidates.append(res.witness)
+            best_capture = max(best_capture, res.captured_count)
     except UncertifiedDichotomyError:
         pass
-    rng = np.random.default_rng(seed)
-    for _ in range(RANDOM_SUBSPACE_PROBES):
-        q = np.linalg.qr(rng.normal(size=(U.n, k - 1)))[0].T
-        candidates.append(Subspace(q))
-
-    best_capture = 0
-    for H in candidates:
-        captured = sum(1 for d in U.items if subspace_wedge(H, d) <= rho)
-        best_capture = max(best_capture, captured)
 
     rhs = rho ** ((1 - k) / k) * wedge_sum ** (1.0 / k) + best_capture
-    return N / rhs if rhs > 0 else math.inf
-
+    return len(U) / rhs if rhs > 0 else math.inf

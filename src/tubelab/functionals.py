@@ -748,16 +748,11 @@ def _row_labels(rows: np.ndarray) -> tuple[np.ndarray, int]:
     return labels, int(np.count_nonzero(new))
 
 
-def multilinear_power_integral(families: list[TubeFamily], power: float, G: Grid) -> float:
-    """h^n * sum over cells of (k-fold transversality sum)^power."""
-    _, vals = multilinear_cell_values(families, G)
-    return float(G.cell_volume * np.sum(vals**power))
-
-
 def multilinear_kakeya_lhs(families: list[TubeFamily], G: Grid) -> float:
     """L^(k/(k-1)) grid norm of the k-th root of the transversality sum."""
     k = len(families)
-    integral = multilinear_power_integral(families, 1.0 / (k - 1.0), G)
+    _, vals = multilinear_cell_values(families, G)
+    integral = float(G.cell_volume * np.sum(vals ** (1.0 / (k - 1.0))))
     return float(integral ** ((k - 1.0) / k))
 
 
@@ -995,6 +990,13 @@ class ChainReport:
     volume_factor: float
 
 
+def _check_cardinality(F: TubeFamily) -> None:
+    """Reject families above the cardinality budget delta^(2(1-d) - beta)."""
+    budget = F.delta ** (2.0 * (1 - F.d) - F.beta)
+    if len(F) > budget * (1.0 + 1e-9):
+        raise ValueError(f"family has {len(F)} tubes, cardinality budget is {budget:.4g}")
+
+
 def calculation_chain(F: TubeFamily, G: Grid) -> ChainReport:
     """Evaluate the displayed chain bounding the (d+1)-linear norm.
 
@@ -1003,9 +1005,7 @@ def calculation_chain(F: TubeFamily, G: Grid) -> ChainReport:
     delta, n, d, beta = F.delta, F.n, F.d, F.beta
     if beta <= 0.0:
         raise ValueError("beta must be positive here; replace d by d-1 and beta by 1")
-    budget = delta ** (2.0 * (1 - d) - beta)
-    if len(F) > budget * (1.0 + 1e-9):
-        raise ValueError(f"family has {len(F)} tubes, cardinality budget is {budget:.4g}")
+    _check_cardinality(F)
     raster = FamilyRaster.build(F, G)
     p_prime = F.p_prime
     p = F.p
@@ -1072,9 +1072,7 @@ def induction_step_terms(raster: FamilyRaster, rho: float) -> tuple[float, float
     """
     F = raster.family
     delta, d = F.delta, F.d
-    budget = delta ** (2.0 * (1 - d) - F.beta)
-    if len(F) > budget * (1.0 + 1e-9):
-        raise ValueError(f"family has {len(F)} tubes, cardinality budget is {budget:.4g}")
+    _check_cardinality(F)
     if delta > rho / 2.0:
         raise ValueError(f"need delta <= rho/2, got delta={delta}, rho={rho}")
     p_prime = F.p_prime

@@ -1,9 +1,11 @@
 """CLI: configs, reports, determinism, golden regression, exit codes."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from tubelab import cli
 from tubelab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -14,6 +16,7 @@ from tubelab.cli import (
     regress,
     run_scenario,
 )
+from tubelab.dichotomy import decide_dichotomy
 
 QUICK_DICHOTOMY = {
     "name": "dich",
@@ -82,6 +85,21 @@ class TestReports:
         a = run_scenario(cfg)
         b = run_scenario(cfg)
         assert a.payload_json().encode() == b.payload_json().encode()
+
+    def test_degenerate_index_counts_b_trials(self, monkeypatch):
+        """values["degenerate_index"] counts the B trials per j*; constants do not carry it."""
+        results = []
+
+        def recording(*args):
+            results.append(decide_dichotomy(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "decide_dichotomy", recording)
+        rep = run_scenario(ExperimentConfig.from_dict(QUICK_DICHOTOMY))
+        expected = Counter(str(r.degenerate_index) for r in results if r.variant == "B")
+        assert len(results) == QUICK_DICHOTOMY["params"]["trials"]
+        assert expected and rep.payload["values"]["degenerate_index"] == dict(expected)
+        assert not any("degenerate" in key for key in rep.payload["constants"])
 
     def test_seed_changes_values(self):
         a = run_scenario(ExperimentConfig("x", "dichotomy", 1, {"trials": 25}))
@@ -180,6 +198,23 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error in scenario thin0: {param} must be >= 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"trials": 0}, "trials must be >= 1, got 0"),
+            ({"max_directions": 0}, "max_directions must be >= 1, got 0"),
+            ({"rhos": []}, "rhos must be a non-empty list, got []"),
+        ],
+    )
+    def test_dichotomy_empty_inputs_exit_two(self, tmp_path, capsys, params, message):
+        """No trials, directions or rhos is named in one error line, not passed vacuously."""
+        dich = {"name": "dich0", "scenario": "dichotomy", "seed": 0, "params": params}
+        cfg = self._config_file(tmp_path, [dich])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error in scenario dich0: {message}\n"
         assert not out.exists()
 
     def test_byte_identical_rerun_on_disk(self, tmp_path, capsys):

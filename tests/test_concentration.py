@@ -466,3 +466,8 @@ class TestCheckBallCondition:
         ok, worst = check_ball_condition(lines, delta, 1, 1.0, net)
         ratio = worst_ratio_of_lines(lines, delta, 1, 1.0, net)
         assert ok == (ratio <= 1.0 + 1e-9)
+
+    def test_empty_line_set_rejected(self):
+        """An empty set is refused, as by `worst_ratio_of_lines`, not certified."""
+        with pytest.raises(GeometryError, match="non-empty line set"):
+            check_ball_condition([], 2.0**-4, 1, 1.0, BallNet.build(2, 2.0**-4))

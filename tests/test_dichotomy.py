@@ -11,13 +11,21 @@ from hypothesis import strategies as st
 from tubelab.dichotomy import (
     BudgetError,
     DirectionMultiset,
+    _captures,
     control_card_ratio,
     count_spread_tuples,
     decide_dichotomy,
     verify_option_a,
     verify_option_b,
 )
-from tubelab.linegeom import Subspace, build_cap_cover, wedge_volume
+from tubelab.linegeom import (
+    Subspace,
+    build_cap_cover,
+    complete_orthonormal,
+    subspace_wedge,
+    tuple_wedges,
+    wedge_volume,
+)
 
 
 def random_multiset(rng, n, count, clustered=False):
@@ -198,3 +206,115 @@ class TestCapSumComparison:
         assert float(cs.min()) >= med / 2.0
         assert float(cs.max()) <= 2.0  # the bound holds with a small constant
 
+
+
+class TestCaptures:
+    """The batched capture count against per-row `subspace_wedge`."""
+
+    @staticmethod
+    def rows_for(rng, basis):
+        """Random rows, rows inside span(basis) and rows orthogonal to it."""
+        m, n = basis.shape
+        inside = rng.normal(size=(6, m)) @ basis
+        outside = complete_orthonormal(basis, n)[m:]
+        v = np.vstack([rng.normal(size=(20, n)), inside, outside, -outside])
+        return DirectionMultiset(v / np.linalg.norm(v, axis=1, keepdims=True)).matrix()
+
+    @staticmethod
+    def assert_bitwise(mat, basis, got):
+        """Each row's wedge equals the oracle's bit for bit: one row counts at
+        its oracle value and not at the next float below; all rows count as
+        the oracle does at every such threshold."""
+        H = Subspace(basis)
+        oracle = np.array([subspace_wedge(H, u) for u in mat])
+        for i, w in enumerate(oracle):
+            below = np.nextafter(w, -np.inf)
+            assert got(mat[i : i + 1], basis, w) == 1
+            assert got(mat[i : i + 1], basis, below) == 0
+            assert got(mat, basis, w) == np.count_nonzero(oracle <= w)
+            assert got(mat, basis, below) == np.count_nonzero(oracle <= below)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_single_basis(self, n):
+        rng = np.random.default_rng(n)
+        for m in range(1, n):
+            # The witness's C-ordered completion and a probe's transposed QR.
+            completed = complete_orthonormal(np.linalg.qr(rng.normal(size=(n, m)))[0].T, n)[:m]
+            probe = np.linalg.qr(rng.normal(size=(n, m)))[0].T
+            for basis in (completed, probe):
+                self.assert_bitwise(self.rows_for(rng, basis), basis, _captures)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stacked_bases(self, n):
+        rng = np.random.default_rng(10 + n)
+        for m in range(1, n):
+            stack = np.swapaxes(np.linalg.qr(rng.normal(size=(5, n, m)))[0], -1, -2)
+            mat = self.rows_for(rng, stack[0])
+            counts = _captures(mat, stack, 0.3)
+            assert counts.shape == (5,)
+            for p, basis in enumerate(stack):
+                assert counts[p] == _captures(mat, basis, 0.3)
+                self.assert_bitwise(
+                    mat, basis, lambda rows, _, rho: _captures(rows, stack, rho)[p]
+                )
+
+
+def product_loop_witness(U, k, rho):
+    """The (j*, witness basis) of option B by explicit prefix enumeration in
+    `itertools.product` order, each wedge table recomputed where it is used."""
+    import itertools
+
+    mat = U.matrix()
+    N = len(U)
+    for j in range(2, k + 1):
+        if int(np.count_nonzero(tuple_wedges([mat] * j) < rho ** (j - 1))) * 2 ** (2 * k + 1 - 2 * j) >= N**j:
+            break
+    prefix_wedges = tuple_wedges([mat] * (j - 1))
+    full_wedges = tuple_wedges([mat] * j)
+    for prefix in itertools.product(range(N), repeat=j - 1):
+        if prefix_wedges[prefix] < rho ** (j - 2):
+            continue
+        captures = int(np.count_nonzero(full_wedges[prefix] < rho ** (j - 1)))
+        if captures * 2 ** (2 * k + 2 - 2 * j) >= N:
+            W = np.linalg.qr(mat[list(prefix)].T)[0].T
+            return j, complete_orthonormal(W, U.n)[: k - 1]
+    return j, None
+
+
+class TestWitnessPrefix:
+    def test_matches_product_loop(self):
+        """Clustered multisets behind a few outliers, so the first witness
+        prefix is not the first tuple: near one direction (B at j = 2) and
+        spread in a plane (B at j = 3)."""
+        rng = np.random.default_rng(3)
+        seen = Counter()
+        for trial in range(120):
+            n = int(rng.integers(3, 5))
+            rho = [0.05, 0.1, 0.3][trial % 3]
+            # A plane needs k = 3 and more than 8 directions, or the repeated
+            # pairs alone make j = 2 abundant.
+            dim, k, size = (1, int(rng.integers(3, n + 1)), 6) if trial % 2 else (2, 3, 12)
+            span = np.linalg.qr(rng.normal(size=(n, dim)))[0].T
+            cluster = rng.normal(size=(int(rng.integers(size, 2 * size)), dim)) @ span
+            v = np.vstack([rng.normal(size=(trial % 4, n)), cluster + 1e-3 * rng.normal(size=(len(cluster), n))])
+            U = DirectionMultiset(v / np.linalg.norm(v, axis=1, keepdims=True))
+            res = decide_dichotomy(U, k, rho)
+            if res.variant == "A":
+                assert res.degenerate_index is None
+                continue
+            j, basis = product_loop_witness(U, k, rho)
+            assert res.degenerate_index == j
+            assert res.witness.basis.tobytes() == basis.tobytes()
+            seen[j] += 1
+        assert seen[2] >= 20 and seen[3] >= 20
+
+
+class TestDirectionMatrix:
+    def test_matrix_is_stacked_once_and_read_only(self):
+        U = DirectionMultiset(np.eye(3))
+        mat = U.matrix()
+        assert mat is U.matrix()
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 2.0
+        np.testing.assert_array_equal(mat, np.stack([d.u for d in U.items]))
