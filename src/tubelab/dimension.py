@@ -5,18 +5,45 @@ strongest case of the covering hypothesis: |T ∩ E_delta| = |T| for every
 tube).  Dimension is estimated as the least-squares slope of log covering
 count against log inverse scale over dyadic scales; it stands in for the
 limiting dimension, which is out of reach at one scale.
+
+Distinct cells and boxes are found by one sort and an adjacent-difference
+mask (`_sorted_distinct`), never by a flag-free `np.unique`, which numpy
+>= 2.3 runs through a hash table many times slower than a sort.  A region
+unravels its cells into per-axis indices once, on its first box count, and
+every scale and anchor builds its coarse box keys axis by axis from them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .functionals import FamilyRaster, Grid, TubeFamily
 from .linegeom import GeometryError
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, sorted: one sort and a mask."""
+    v = np.sort(values)
+    keep = np.empty(v.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
+
+
+def _index_dtype(bound: int):
+    """int32 when every index below `bound` fits it (it halves the memory
+    traffic of box keys), else int64."""
+    return np.int32 if bound <= 2**31 else np.int64
+
+
+def _cells_message(grid: Grid, bad) -> str:
+    n = grid.total_cells
+    return f"region cells must be integers in [0, {n}) on a grid of {n} cells, got {bad}"
 
 
 @dataclass(frozen=True)
@@ -27,11 +54,33 @@ class Region:
     cells: np.ndarray  # sorted unique linear indices
 
     def __init__(self, grid: Grid, cells):
-        c = np.unique(np.asarray(cells, dtype=np.int64))
-        if c.size == 0:
+        a = np.asarray(cells).ravel()
+        if a.size == 0:
             raise GeometryError("region must be non-empty")
+        if a.dtype.kind not in "iu":
+            a = a.astype(float)
+            bad = ~((np.floor(a) == a) & (a >= 0) & (a < grid.total_cells))
+            if bad.any():
+                raise GeometryError(_cells_message(grid, a[bad][0]))
+        c = _sorted_distinct(a.astype(np.int64, copy=False))
+        if c[0] < 0 or c[-1] >= grid.total_cells:
+            raise GeometryError(_cells_message(grid, c[0] if c[0] < 0 else c[-1]))
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "cells", c)
+
+    @cached_property
+    def _axes(self) -> tuple[np.ndarray, ...]:
+        """Per-axis indices of the cells, axis 0 first, split once for every
+        box count.  A box count adds an anchor shift below its factor, at
+        most about m, so the dtype holds every index below 2m as well as the
+        linear indices."""
+        m = self.grid.m
+        rest = self.cells.astype(_index_dtype(max(self.grid.total_cells, 2 * m)))
+        low = []
+        for _ in range(self.grid.n - 1):
+            rest, a = np.divmod(rest, m)
+            low.append(a)
+        return (rest, *reversed(low))
 
     @property
     def volume(self) -> float:
@@ -83,37 +132,53 @@ def build_E_delta(F: TubeFamily, G: Grid) -> Region:
     return Region(G, raster.occ)
 
 
+def _box_factor(grid: Grid, scale: float) -> int:
+    """The scale snapped to a whole number of grid steps (at least one)."""
+    return max(int(round(scale / grid.h)), 1)
+
+
 def box_counts(R: Region, scale: float, offsets: int = 1) -> float:
     """Boxes of the given scale meeting the region, averaged over anchors.
 
     The scale is snapped to an integer multiple of the grid step.  Averaging
     the count over `offsets` shifted box origins removes most of the
     alignment quantization that a single anchor suffers at coarse scales.
+    A box's key is its row-major index in a lattice of m // factor + 2 boxes
+    per axis, which holds every shifted box index.
     """
-    factor = max(int(round(scale / R.grid.h)), 1)
-    multi = np.stack(np.unravel_index(R.cells, (R.grid.m,) * R.grid.n), axis=1)
+    factor = _box_factor(R.grid, scale)
     mc = R.grid.m // factor + 2
     total = 0.0
     for t in range(offsets):
         shift = (t * factor) // offsets
-        coarse = (multi + shift) // factor
-        total += float(np.unique(np.ravel_multi_index(coarse.T, (mc,) * R.grid.n)).size)
+        key = np.zeros(R.cells.size, dtype=_index_dtype(mc**R.grid.n))
+        for axis in R._axes:
+            key *= mc
+            key += (axis + shift) // factor
+        total += float(_sorted_distinct(key).size)
     return total / offsets
 
 
 def box_counting_dim(R: Region, scales, offsets: int = 1) -> ExponentFit:
-    """Slope of log covering count against log(1/scale) over the given scales."""
+    """Slope of log covering count against log(1/scale) over the given scales.
+
+    Scales that snap to the same multiple of the grid step as an earlier one
+    are dropped, so each box size enters the fit once.
+    """
     scales = [float(s) for s in scales]
-    if any(not R.grid.h <= s <= 2 * R.grid.extent for s in scales):
+    h = R.grid.h
+    if any(not h <= s <= 2 * R.grid.extent for s in scales):
         raise GeometryError("scales must lie between the grid step and the grid size")
-    eff, counts = [], []
+    first = {}
     for s in scales:
-        factor = max(int(round(s / R.grid.h)), 1)
-        e = factor * R.grid.h
-        if eff and abs(e - eff[-1]) < 1e-15:
-            continue
-        eff.append(e)
-        counts.append(box_counts(R, s, offsets=offsets))
+        first.setdefault(_box_factor(R.grid, s), s)
+    if len(first) < 3:
+        raise GeometryError(
+            f"box counting needs at least 3 distinct scales; {scales} snap to "
+            f"{[f * h for f in first]} at grid step h = {h}"
+        )
+    eff = [f * h for f in first]
+    counts = [box_counts(R, s, offsets=offsets) for s in first.values()]
     return ExponentFit(eff, counts, x_is_inverse=True)
 
 

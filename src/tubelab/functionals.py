@@ -107,16 +107,7 @@ class TubeFamily:
             raise GeometryError(f"need integer 1 <= d < n, got d={d}, n={n}")
         if not 0.0 <= beta <= 1.0:
             raise GeometryError(f"beta must lie in [0, 1], got {beta}")
-        for i, t in enumerate(tubes):
-            if t.n != n:
-                raise GeometryError(f"tube {i} lives in R^{t.n}, family in R^{n}")
-            if abs(t.radius - delta) > 1e-12:
-                raise GeometryError(f"tube {i} has radius {t.radius}, family scale {delta}")
-            if float(np.linalg.norm(t.segment_center)) > ball_radius + 1e-9:
-                raise GeometryError(f"tube {i} center outside B(0, {ball_radius})")
-            for e in t.endpoints:
-                if float(np.linalg.norm(e)) > ball_radius + 1e-9:
-                    raise GeometryError(f"tube {i} segment leaves B(0, {ball_radius})")
+        _check_tubes(tubes, delta, n, ball_radius)
         object.__setattr__(self, "tubes", tubes)
         object.__setattr__(self, "delta", float(delta))
         object.__setattr__(self, "n", int(n))
@@ -152,6 +143,39 @@ class TubeFamily:
 
     def lines(self) -> list[Line]:
         return [line_of_tube(t) for t in self.tubes]
+
+
+def _check_tubes(tubes: tuple[Tube, ...], delta: float, n: int, ball_radius: float) -> None:
+    """Raise for the first tube that fails a family check, with the checks
+    in the order dimension, radius, center, endpoints, in one stacked pass.
+
+    The endpoints are c -+ 0.5 * length * u, as `Tube.endpoints` gives them.
+    A norm is the root of a row's dot product with itself, which a stacked
+    (1, n) @ (n, 1) matmul computes by the vector dot that `np.linalg.norm`
+    of one row uses, so every comparison is the one a check per tube makes.
+    """
+    k = next((i for i, t in enumerate(tubes) if t.n != n), len(tubes))
+    head = tubes[:k]
+    if head:
+        c = np.stack([t.segment_center for t in head])
+        half = (0.5 * np.array([t.length for t in head]))[:, None] * np.stack([t.direction.u for t in head])
+        pts = np.stack([c, c - half, c + half])
+        outside = np.sqrt((pts[..., None, :] @ pts[..., :, None])[..., 0, 0]) > ball_radius + 1e-9
+        fails = (
+            np.abs(np.array([t.radius for t in head]) - delta) > 1e-12,
+            outside[0],
+            outside[1] | outside[2],
+        )
+        bad = np.flatnonzero(fails[0] | fails[1] | fails[2])
+        if bad.size:
+            i = int(bad[0])
+            if fails[0][i]:
+                raise GeometryError(f"tube {i} has radius {head[i].radius}, family scale {delta}")
+            if fails[1][i]:
+                raise GeometryError(f"tube {i} center outside B(0, {ball_radius})")
+            raise GeometryError(f"tube {i} segment leaves B(0, {ball_radius})")
+    if k < len(tubes):
+        raise GeometryError(f"tube {k} lives in R^{tubes[k].n}, family in R^{n}")
 
 
 @dataclass(frozen=True)

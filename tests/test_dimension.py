@@ -66,6 +66,34 @@ class TestRegion:
         assert build_E_delta(F2, G).volume == build_E_delta(F1, G).volume
 
 
+class TestRegionCells:
+    def test_cells_sorted_distinct_int64(self):
+        G = Grid(2, 1.0 / 16, 1.0)
+        rng = np.random.default_rng(3)
+        cells = rng.integers(0, G.total_cells, size=400)
+        cells = np.concatenate([cells, cells[:50], cells[::-7]])
+        R = Region(G, cells.tolist())
+        assert R.cells.dtype == np.int64
+        assert R.cells.tolist() == sorted(set(cells.tolist()))
+
+    @pytest.mark.parametrize("cells", [[-1, 3, 5], [3, 1024], [1024], [0, 2**40]])
+    def test_cells_outside_grid_rejected(self, cells):
+        G = Grid(2, 1.0 / 16, 1.0)
+        assert G.total_cells == 1024
+        with pytest.raises(GeometryError, match=r"\[0, 1024\)"):
+            Region(G, cells)
+
+    @pytest.mark.parametrize("cells", [[1.7, 2.2], [3.0, 0.5], [np.nan], [np.inf, 1.0]])
+    def test_non_integer_cells_rejected(self, cells):
+        G = Grid(2, 1.0 / 16, 1.0)
+        with pytest.raises(GeometryError, match=r"integers in \[0, 1024\)"):
+            Region(G, cells)
+
+    def test_integral_float_cells_accepted(self):
+        G = Grid(2, 1.0 / 16, 1.0)
+        assert Region(G, [5.0, 1.0, 5.0]).cells.tolist() == [1, 5]
+
+
 class TestBoxCountingDim:
     def test_full_disk_two_dimensional(self):
         fit = box_counting_dim(disk_region(), [2.0**-j for j in range(1, 6)])
@@ -109,9 +137,62 @@ class TestBoxCountingDim:
         with pytest.raises(GeometryError):
             box_counting_dim(R, [2.0**-10, 2.0**-11, 2.0**-12])
 
+    def test_repeated_effective_scales_dropped(self):
+        R = disk_region(h=2.0**-4)
+        fit = box_counting_dim(R, [0.25, 0.5, 0.25, 0.125])
+        assert fit.scales == (0.25, 0.5, 0.125)
+        assert fit.values == tuple(box_counts(R, s) for s in (0.25, 0.5, 0.125))
+        assert fit.slope == box_counting_dim(R, [0.25, 0.5, 0.125]).slope
+        # 0.26 snaps to 0.25 as well; the first of each snapped scale is kept.
+        assert box_counting_dim(R, [0.5, 0.25, 0.26, 0.125, 0.5]).scales == (0.5, 0.25, 0.125)
+
+    def test_too_few_distinct_scales_named(self):
+        R = disk_region(h=2.0**-4)
+        with pytest.raises(GeometryError, match=r"snap to \[0\.25\] at grid step h = 0\.0625"):
+            box_counting_dim(R, [0.25, 0.26, 0.27])
+
     def test_needs_three_scales(self):
         with pytest.raises(GeometryError):
             ExponentFit([1.0, 0.5], [1.0, 2.0])
+
+
+def brute_force_box_counts(R, scale, offsets):
+    """Distinct coarse multi-index tuples per anchor, averaged over anchors."""
+    factor = max(int(round(scale / R.grid.h)), 1)
+    multi = np.stack(np.unravel_index(R.cells, (R.grid.m,) * R.grid.n), axis=1).tolist()
+    total = 0.0
+    for t in range(offsets):
+        shift = (t * factor) // offsets
+        total += float(len({tuple((i + shift) // factor for i in cell) for cell in multi}))
+    return total / offsets
+
+
+class TestBoxCountsOracle:
+    @pytest.mark.parametrize("n, m", [(1, 62), (2, 24), (3, 12), (4, 7)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_set_of_coarse_boxes(self, n, m, seed):
+        rng = np.random.default_rng([n, seed])
+        G = Grid(n, 1.0 / m, 0.5)
+        assert G.m == m
+        for size in (1, 5, G.total_cells // 3):
+            cells = rng.integers(0, G.total_cells, size=size)
+            R = Region(G, cells)
+            # Factors that divide m and factors that do not, up to one box
+            # covering the whole grid.
+            for factor in sorted({1, 2, 3, 4, 5, m // 2, m}):
+                for offsets in (1, 2, 3, 4):
+                    scale = factor * G.h
+                    assert box_counts(R, scale, offsets) == brute_force_box_counts(R, scale, offsets)
+
+    def test_large_grid_keys(self):
+        # 2^11 cells per axis in n = 3: linear indices pass int32, so the
+        # per-axis indices and the finest box keys are int64, while coarser
+        # keys are int32 built from int64 indices.
+        G = Grid(3, 2.0**-10, 1.0)
+        rng = np.random.default_rng(5)
+        R = Region(G, rng.integers(0, G.total_cells, size=2000))
+        for scale, offsets in ((G.h, 1), (2 * G.h, 3), (0.1, 4)):
+            assert box_counts(R, scale, offsets) == brute_force_box_counts(R, scale, offsets)
 
 
 class TestHolderComparison:

@@ -55,6 +55,90 @@ def generic_family(rng, n, delta, count, d=1, beta=1.0):
     return family(tubes, delta, n, d, beta)
 
 
+def _reference_family_check(tubes, delta, n, ball_radius):
+    """The family's tube checks, one tube at a time."""
+    for i, t in enumerate(tubes):
+        if t.n != n:
+            raise GeometryError(f"tube {i} lives in R^{t.n}, family in R^{n}")
+        if abs(t.radius - delta) > 1e-12:
+            raise GeometryError(f"tube {i} has radius {t.radius}, family scale {delta}")
+        if float(np.linalg.norm(t.segment_center)) > ball_radius + 1e-9:
+            raise GeometryError(f"tube {i} center outside B(0, {ball_radius})")
+        for e in t.endpoints:
+            if float(np.linalg.norm(e)) > ball_radius + 1e-9:
+                raise GeometryError(f"tube {i} segment leaves B(0, {ball_radius})")
+
+
+def _check_outcome(check):
+    try:
+        check()
+    except GeometryError as e:
+        return str(e)
+    return None
+
+
+def _faulty_tube(n, delta, faults):
+    """A tube failing the named family checks (dim, radius, center, end)."""
+    if "dim" in faults:
+        return Tube(np.zeros(n + 1), Direction(np.eye(n + 1)[0]), delta)
+    radius = 1.5 * delta if "radius" in faults else delta
+    center = 1.2 if "center" in faults else 0.8 if "end" in faults else 0.0
+    return Tube(center * np.eye(n)[0], Direction(np.eye(n)[0]), radius)
+
+
+class TestFamilyChecks:
+    """`TubeFamily` checks its tubes in one stacked pass; the first failing
+    tube and its message must be the ones a check per tube gives."""
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            {},
+            {5: "dim"},
+            {5: "dim", 7: "radius"},
+            {3: "radius", 5: "dim"},
+            {4: "radius center"},
+            {4: "center", 2: "end"},
+            {6: "end", 9: "radius"},
+            {0: "center end"},
+            {39: "end"},
+            {39: "dim", 38: "center"},
+        ],
+    )
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_first_failure_matches_per_tube_loop(self, n, faults):
+        rng = np.random.default_rng(n)
+        delta = 2.0**-4
+        tubes = list(generic_family(rng, n, delta, 40).tubes)
+        for i, kinds in faults.items():
+            tubes[i] = _faulty_tube(n, delta, kinds.split())
+        got = _check_outcome(lambda: TubeFamily(tubes, delta, n, 1, 1.0))
+        assert got == _check_outcome(lambda: _reference_family_check(tubes, delta, n, 1.0))
+        assert (got is None) == (not faults)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_norms_at_the_threshold(self, n):
+        """Ball radii within a few ulps of each tube's center and endpoint
+        norms, less the 1e-9 slack: a norm off by one ulp flips a decision."""
+        rng = np.random.default_rng(10 + n)
+        delta = 2.0**-4
+        decided = set()
+        for _ in range(150):
+            u = rng.normal(size=n)
+            tube = Tube(rng.uniform(-0.4, 0.4, size=n), Direction(u), delta, length=rng.uniform(0.5, 1.5))
+            for point in (tube.segment_center, *tube.endpoints):
+                radius = float(np.linalg.norm(point)) - 1e-9
+                for _ in range(3):
+                    radius = float(np.nextafter(radius, 0.0))
+                for _ in range(7):
+                    got = _check_outcome(lambda: TubeFamily([tube], delta, n, 1, 1.0, ball_radius=radius))
+                    want = _check_outcome(lambda: _reference_family_check([tube], delta, n, radius))
+                    assert got == want
+                    decided.add(want is None)
+                    radius = float(np.nextafter(radius, 2.0))
+        assert decided == {True, False}
+
+
 class TestRasterization:
     def test_matches_bruteforce_cell_membership(self):
         rng = np.random.default_rng(3)
