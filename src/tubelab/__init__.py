@@ -45,7 +45,6 @@ from .dimension import (
     ExponentFit,
     Region,
     box_counting_dim,
-    build_E_delta,
     exponent_fit_norms,
     holder_comparison,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "UnderResolvedGridError",
     "ball_condition_worst_ratio",
     "box_counting_dim",
-    "build_E_delta",
     "build_cap_cover",
     "calculation_chain",
     "coarsen_to_rho_tubes",

@@ -15,9 +15,11 @@ and cannot attain the maximum of any scan.
 One routine, `BallNet._incidences`, finds every (center, line) candidate
 pair as arrays, at one radius or at several in one pass: lattice feet in a
 budget box per (line, net direction) pair, foot bases from each net's table,
-distinct centers by one `np.unique`.  Incremental counts (all radii at once)
-and the coverage and overlap probes read the same arrays for one line, so
-every membership test compares the same distances with r + 1e-12.
+distinct centers by one `np.unique` of their int64 ball keys.  A ball has
+one key layout, `BallNet._keys`, for every radius and every caller: scans
+and candidate keys order their centers by it, and incremental counts (all
+radii at once) are kept under it.  Every membership test compares the same
+distances with r + 1e-12.
 
 Which balls contain which lines does not depend on which of them are kept,
 so the pairs of a line set within r + 1e-12 are found once per radius and
@@ -34,7 +36,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .linegeom import Direction, GeometryError, Line, SphereNet
+from .linegeom import Direction, GeometryError, Line, SphereNet, row_labels, sorted_distinct
 
 
 class ThinningError(RuntimeError):
@@ -74,15 +76,18 @@ class BallNet:
     from a `SphereNet` at angular resolution r/4 and foot on an (r/2)-grid of
     the direction's orthogonal hyperplane.  Every line meeting B(0,1) is
     within r of some center, and no line lies in more than `overlap_bound`
-    balls of one radius.  A center is keyed (r, w_idx, *j): net row w_idx,
-    foot `complement(w_idx).T @ (j r/2)`.
+    balls of one radius.  A center is the ball (k, w_idx, *j) of radius
+    r = radii[k]: net row w_idx, foot `complements([w_idx])[0].T @ (j r/2)`.
 
-    `_incidences` is the one incidence path: scans, candidate keys,
-    incremental counts and the coverage and overlap probes all read its
-    (center, line) pair arrays.  The net keeps the contained pairs of the
-    last line set it counted, keyed by the bytes of its feet and directions
-    and filled radius by radius on demand; `_max_count` counts the whole set
-    or any masked subset of it from them.
+    `_keys` packs balls into int64 keys that sort as their rows do: net rows
+    numbered across the nets of all radii, then each foot index offset by
+    half into a fixed field of bits; a foot index outside its field raises
+    the one `OverflowError`.  `_incidences` is the one incidence
+    path: scans, candidate keys and incremental counts all read its
+    (center, line) pair arrays and its keys.  The net keeps the contained
+    pairs of the last line set it counted, keyed by the bytes of its feet and
+    directions and filled radius by radius on demand; `_max_count` counts the
+    whole set or any masked subset of it from them.
     """
 
     n: int
@@ -90,6 +95,7 @@ class BallNet:
     radii: tuple[float, ...]
     overlap_bound: int
     _nets: dict = field(default_factory=dict, repr=False)
+    _row_offset: np.ndarray | None = field(default=None, repr=False, compare=False)
     _kept_key: tuple | None = field(default=None, repr=False, compare=False)
     _kept: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -115,12 +121,32 @@ class BallNet:
             self._nets[r] = net
         return self._nets[r]
 
+    def _keys(self, k: np.ndarray, w: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """int64 keys of the balls (k[i], w[i], *j[i]), ordered as the rows.
+
+        The layout numbers rows across the nets of every radius, so it builds
+        all of them on first use.  `_incidences` builds the nets it asks for
+        before, so a `MAX_NET_ROWS` error names one of its own radii.
+        """
+        if self._row_offset is None:
+            self._row_offset = np.cumsum([0] + [len(self._net(r)) for r in self.radii])
+        bits = (63 - int(self._row_offset[-1]).bit_length()) // (self.n - 1)
+        half = 1 << (bits - 1)
+        if j.size and (j.min() < -half or j.max() >= half):
+            raise OverflowError(
+                f"foot index beyond +-{half} in the ball keys at delta = {self.delta:g}; lines too far out"
+            )
+        keys = self._row_offset[k] + w
+        for c in range(self.n - 1):
+            keys = (keys << bits) + (j[:, c] + half)
+        return keys
+
     def _incidences(self, radii, feet: np.ndarray, dirs: np.ndarray):
         """Every candidate (center, line) pair at the given radii, as arrays.
 
-        Returns (centers, center_of, dist, line_of): the distinct candidate
-        centers as int64 rows (radius index, w_idx, *j) in lexicographic
-        order, and for each pair its center's index, its distance
+        Returns (centers, keys, center_of, dist, line_of): the distinct
+        candidate centers as int64 rows (k, w_idx, *j) and their `_keys`, in
+        key order, and for each pair its center's index, its distance
         |x - x'| + wedge and its line's index.
         A line's candidates at radius r are, for every net row within
         asin(r) of its direction, the lattice feet in the box
@@ -128,28 +154,19 @@ class BallNet:
         within r of the line is one of them.  A center appears at most once
         per line.
         """
-        # Distinct directions by one lexsort: one `within` per direction and radius.
-        order = np.lexsort(dirs.T)
-        sorted_dirs = dirs[order]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (sorted_dirs[1:] != sorted_dirs[:-1]).any(axis=1)
-        dir_of = np.empty(len(order), dtype=np.int64)
-        dir_of[order] = np.cumsum(new) - 1
-        udirs = sorted_dirs[new]
-        # (line, net row) pairs, radius by radius.  Rows are numbered across
-        # the radii's nets, so `row` orders pairs by (radius index, w_idx).
+        # One `within` per distinct direction and radius.
+        dir_of, first = row_labels(dirs)
+        udirs = dirs[first]
         parts = []
-        offset = 0
-        for k, r in enumerate(radii):
+        for r in radii:
             net = self._net(r)
             max_angle = math.asin(r) if r < 1.0 else math.pi / 2.0
             near = [net.within(u, max_angle) for u in udirs]
             w = np.concatenate([near[i] for i in dir_of])
             line_of = np.repeat(np.arange(len(feet)), [near[i].size for i in dir_of])
-            parts.append((np.full(w.size, k), w, w + offset, line_of, net.complements(w), net.rows[w]))
-            offset += len(net)
-        ri, w, row, line_of, bases, rdirs = (np.concatenate(a) for a in zip(*parts))
-        r = np.asarray(radii)[ri]
+            parts.append((np.full(w.size, self.radii.index(r)), w, line_of, net.complements(w), net.rows[w]))
+        ki, w, line_of, bases, rdirs = (np.concatenate(a) for a in zip(*parts))
+        r = np.asarray(self.radii)[ki]
         g = r / 2.0
         dots = np.einsum("ij,ij->i", rdirs, dirs[line_of])
         wedge = np.sqrt(np.maximum(1.0 - dots**2, 0.0))
@@ -165,20 +182,15 @@ class BallNet:
         for c in range(self.n - 2, -1, -1):
             j[:, c] = los[pair_of, c] + t % sides[pair_of, c]
             t //= sides[pair_of, c]
-        # Distinct centers: pack (row, *j) in mixed radix, row first.
-        lo = j.min(axis=0)
-        spans = (j.max(axis=0) - lo + 1).tolist()
-        if offset * math.prod(spans) >= 2**63:
-            raise OverflowError(f"candidate lattice at r = {min(radii):g} spans {spans} feet; lines too far apart")
-        strides = np.array([math.prod(spans[c + 1 :]) for c in range(len(spans))], dtype=np.int64)
-        packed = row[pair_of] * math.prod(spans) + (j - lo) @ strides
-        _, first, center_of = np.unique(packed, return_index=True, return_inverse=True)
+        keys, first, center_of = np.unique(
+            self._keys(ki[pair_of], w[pair_of], j), return_index=True, return_inverse=True
+        )
         at = pair_of[first]
-        centers = np.column_stack([ri[at], w[at], j[first]])
+        centers = np.column_stack([ki[at], w[at], j[first]])
         cfeet = np.einsum("kij,ki->kj", bases[at], j[first] * g[at, None])
         pair_line = line_of[pair_of]
         dist = np.linalg.norm(cfeet[center_of] - feet[pair_line], axis=1) + wedge[pair_of]
-        return centers, center_of, dist, pair_line
+        return centers, keys, center_of, dist, pair_line
 
     def candidate_keys(self, r: float, feet: np.ndarray, dirs: np.ndarray) -> dict:
         """The candidate centers of the given lines: every net center within r
@@ -191,7 +203,7 @@ class BallNet:
 
     def center_line(self, r: float, w_idx: int, j: tuple) -> Line:
         net = self._net(r)
-        foot = net.complement(w_idx).T @ (np.asarray(j, dtype=float) * (r / 2.0))
+        foot = net.complements(np.array([w_idx]))[0].T @ (np.asarray(j, dtype=float) * (r / 2.0))
         return Line(Direction(net.rows[w_idx]), foot)
 
     def scan(self, r: float, feet: np.ndarray, dirs: np.ndarray) -> tuple[float, tuple | None]:
@@ -214,11 +226,11 @@ class BallNet:
         if key != self._kept_key:
             self._kept_key, self._kept = key, {}
         if r not in self._kept:
-            centers, center_of, dist, line_of = self._incidences((r,), feet, dirs)
+            centers, _, center_of, dist, line_of = self._incidences((r,), feet, dirs)
             inside = dist <= r + 1e-12
             # Only centers holding a line can attain a positive maximum; the
             # first candidate stays too, as the key of an all-zero scan.
-            used = np.union1d(center_of[inside], [0])
+            used = sorted_distinct(np.append(center_of[inside], 0))
             ball_of = np.searchsorted(used, center_of[inside]).astype(np.int32)
             self._kept[r] = (centers[used, 1:], ball_of, line_of[inside].astype(np.int32))
         balls, ball_of, line_of = self._kept[r]
@@ -226,16 +238,6 @@ class BallNet:
         counts = np.bincount(held, minlength=len(balls))
         best = int(np.argmax(counts))
         return float(counts[best]), (r, *balls[best].tolist())
-
-    def nearest_center_distance(self, r: float, line: Line) -> float:
-        """Distance from a line to its nearest net center at radius r (coverage probe)."""
-        dist = self._incidences((r,), line.x[None], line.u.u[None])[2]
-        return float(dist.min()) if dist.size else math.inf
-
-    def balls_containing(self, r: float, line: Line) -> int:
-        """Number of net balls of radius r containing the line (overlap probe)."""
-        dist = self._incidences((r,), line.x[None], line.u.u[None])[2]
-        return int(np.count_nonzero(dist <= r + 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +299,8 @@ class IncrementalBallCounter:
 
     Used by rejection sampling: adding a line touches exactly the net balls
     containing it, so the updated counts are the only ones that can newly
-    violate a threshold.  One `_incidences` call over all radii finds them.
-
-    Counts are kept under int64 keys that pack the ball (radius index,
-    w_idx, *j) in a fixed mixed radix: net rows numbered across the radii,
-    then each foot index offset into `2**bits` values.  `counts` gives them
-    back under tuple keys (r, w_idx, *j).
+    violate a threshold.  One `_incidences` call over all radii finds them,
+    and the counts are kept under the net's ball keys (`BallNet._keys`).
     """
 
     def __init__(self, net: BallNet, delta: float, d: int, beta: float):
@@ -311,48 +309,15 @@ class IncrementalBallCounter:
         self.delta = delta
         self._bounds = np.array([(r / delta) ** self.s * (1.0 + 1e-12) for r in net.radii])
         self._limits = np.array([r + 1e-12 for r in net.radii])
-        sizes = [len(net._net(r)) for r in net.radii]
-        self._row_offset = np.concatenate([[0], np.cumsum(sizes)])
-        self._bits = (63 - int(self._row_offset[-1]).bit_length()) // (net.n - 1)
-        self._radix = 1 << (self._bits * (net.n - 1))
-        self._strides = np.array([1 << (self._bits * c) for c in range(net.n - 2, -1, -1)], dtype=np.int64)
         self._counts: dict[int, int] = {}
-
-    def _containing(self, line: Line) -> np.ndarray:
-        """Rows (radius index, w_idx, *j) of every net ball containing the line, in key order."""
-        centers, center_of, dist, _ = self.net._incidences(self.net.radii, line.x[None], line.u.u[None])
-        return centers[np.sort(center_of[dist <= self._limits[centers[center_of, 0]]])]
-
-    def _containing_keys(self, line: Line) -> list[tuple]:
-        """Keys (r, w_idx, *j) of every net ball containing the line, in key order."""
-        radii = self.net.radii
-        return [(radii[c[0]], *c[1:]) for c in self._containing(line).tolist()]
-
-    def _pack(self, balls: np.ndarray) -> np.ndarray:
-        half = 1 << (self._bits - 1)
-        j = balls[:, 2:]
-        if j.size and (j.min() < -half or j.max() >= half):
-            raise OverflowError(f"foot index beyond +-{half} at delta = {self.delta:g}; line too far out")
-        row = self._row_offset[balls[:, 0]] + balls[:, 1]
-        return row * self._radix + (j + half) @ self._strides
-
-    @property
-    def counts(self) -> dict[tuple, int]:
-        """The nonzero counts under tuple keys (r, w_idx, *j)."""
-        keys = np.fromiter(self._counts, dtype=np.int64, count=len(self._counts))
-        row, rest = np.divmod(keys, self._radix)
-        k = np.searchsorted(self._row_offset, row, side="right") - 1
-        j = rest[:, None] // self._strides % (1 << self._bits) - (1 << (self._bits - 1))
-        balls = np.column_stack([k, row - self._row_offset[k], j]).tolist()
-        radii = self.net.radii
-        return {(radii[b[0]], *b[1:]): c for b, c in zip(balls, self._counts.values())}
 
     def try_add(self, line: Line) -> bool:
         """Add the line if every touched ball stays within its bound."""
-        balls = self._containing(line)
-        keys = self._pack(balls).tolist()
+        centers, keys, center_of, dist, _ = self.net._incidences(self.net.radii, line.x[None], line.u.u[None])
+        balls = center_of[dist <= self._limits[centers[center_of, 0]]]
+        keys = keys[balls].tolist()
         held = np.fromiter(map(self._counts.get, keys, repeat(0)), dtype=np.int64, count=len(keys))
-        if np.any(held + 1 > self._bounds[balls[:, 0]]):
+        if np.any(held + 1 > self._bounds[centers[balls, 0]]):
             return False
         self._counts.update(zip(keys, (held + 1).tolist()))
         return True

@@ -1,16 +1,17 @@
 """Box-counting dimension and the duality comparison at a fixed scale.
 
-The region E_delta is the exact rasterized union of a family's tubes (the
-strongest case of the covering hypothesis: |T ∩ E_delta| = |T| for every
-tube).  Dimension is estimated as the least-squares slope of log covering
-count against log inverse scale over dyadic scales; it stands in for the
-limiting dimension, which is out of reach at one scale.
+The region E_delta, `Region(G, FamilyRaster.build(F, G).occ)`, is the exact
+rasterized union of a family's tubes (the strongest case of the covering
+hypothesis: |T ∩ E_delta| = |T| for every tube).  Dimension is estimated as
+the least-squares slope of log covering count against log inverse scale over
+dyadic scales; it stands in for the limiting dimension, which is out of reach
+at one scale.
 
 Distinct cells and boxes are found by one sort and an adjacent-difference
-mask (`_sorted_distinct`), never by a flag-free `np.unique`, which numpy
->= 2.3 runs through a hash table many times slower than a sort.  A region
-unravels its cells into per-axis indices once, on its first box count, and
-every scale and anchor builds its coarse box keys axis by axis from them.
+mask (`linegeom.sorted_distinct`), never by a flag-free `np.unique`, which
+numpy >= 2.3 runs through a hash table many times slower than a sort.  A
+region unravels its cells into per-axis indices once, on its first box count,
+and every scale and anchor builds its coarse box keys axis by axis from them.
 """
 
 from __future__ import annotations
@@ -23,16 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .functionals import FamilyRaster, Grid, TubeFamily
-from .linegeom import GeometryError
-
-
-def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values of an integer array, sorted: one sort and a mask."""
-    v = np.sort(values)
-    keep = np.empty(v.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(v[1:], v[:-1], out=keep[1:])
-    return v[keep]
+from .linegeom import GeometryError, sorted_distinct
 
 
 def _index_dtype(bound: int):
@@ -62,7 +54,7 @@ class Region:
             bad = ~((np.floor(a) == a) & (a >= 0) & (a < grid.total_cells))
             if bad.any():
                 raise GeometryError(_cells_message(grid, a[bad][0]))
-        c = _sorted_distinct(a.astype(np.int64, copy=False))
+        c = sorted_distinct(a.astype(np.int64, copy=False))
         if c[0] < 0 or c[-1] >= grid.total_cells:
             raise GeometryError(_cells_message(grid, c[0] if c[0] < 0 else c[-1]))
         object.__setattr__(self, "grid", grid)
@@ -124,14 +116,6 @@ class ExponentFit:
         object.__setattr__(self, "residual", res)
 
 
-def build_E_delta(F: TubeFamily, G: Grid) -> Region:
-    """The rasterized union of the family's tubes."""
-    raster = FamilyRaster.build(F, G)
-    if raster.occ.size == 0:
-        raise GeometryError("family rasterizes to an empty region")
-    return Region(G, raster.occ)
-
-
 def _box_factor(grid: Grid, scale: float) -> int:
     """The scale snapped to a whole number of grid steps (at least one)."""
     return max(int(round(scale / grid.h)), 1)
@@ -155,7 +139,7 @@ def box_counts(R: Region, scale: float, offsets: int = 1) -> float:
         for axis in R._axes:
             key *= mc
             key += (axis + shift) // factor
-        total += float(_sorted_distinct(key).size)
+        total += float(sorted_distinct(key).size)
     return total / offsets
 
 

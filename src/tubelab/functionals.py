@@ -45,7 +45,9 @@ from .linegeom import (
     build_cap_cover,
     complete_orthonormal,
     line_of_tube,
+    row_labels,
     segment_point_distances,
+    sorted_distinct,
     tuple_wedges,
 )
 
@@ -738,9 +740,7 @@ def _multilinear_values(rasters: list[FamilyRaster]) -> tuple[np.ndarray, np.nda
 
     W = tuple_wedges([r.family.direction_matrix() for r in rasters])
     lookups = {id(r): r.lookup(cand) for r in distinct}
-    face, faces = _row_labels(np.stack([_run_labels(*lookups[id(r)]) for r in distinct], axis=1))
-    first = np.empty(faces, dtype=np.int64)
-    first[face] = np.arange(face.size)
+    face, first = row_labels(np.stack([_run_labels(*lookups[id(r)]) for r in distinct], axis=1))
     slots = [lookups[id(r)] for r in rasters]
     face_vals = np.array([W[np.ix_(*[ids[s[i] : e[i]] for s, e, ids in slots])].sum() for i in first.tolist()])
     return cand, face_vals[face]
@@ -752,24 +752,12 @@ def _run_labels(starts: np.ndarray, ends: np.ndarray, ids: np.ndarray) -> np.nda
     lengths = ends - starts
     labels = np.empty(lengths.size, dtype=np.int64)
     used = 0
-    for length in np.unique(lengths).tolist():
+    for length in sorted_distinct(lengths).tolist():
         rows = np.flatnonzero(lengths == length)
-        run_labels, count = _row_labels(ids[starts[rows, None] + np.arange(length)])
+        run_labels, first = row_labels(ids[starts[rows, None] + np.arange(length)])
         labels[rows] = used + run_labels
-        used += count
+        used += first.size
     return labels
-
-
-def _row_labels(rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """(labels, count): labels 0..count-1 of the rows of a 2-D integer array,
-    equal exactly when the rows are equal."""
-    order = np.lexsort(rows.T)
-    ranked = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
-    labels = np.empty(len(rows), dtype=np.int64)
-    labels[order] = np.cumsum(new) - 1
-    return labels, int(np.count_nonzero(new))
 
 
 def multilinear_kakeya_lhs(families: list[TubeFamily], G: Grid) -> float:

@@ -368,6 +368,30 @@ def _complete_unit_rows(rows: np.ndarray) -> np.ndarray:
     return basis
 
 
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D integer array, sorted: one sort and an
+    adjacent-difference mask.  A flag-free `np.unique` runs through a hash
+    table on numpy >= 2.3, many times slower than a sort."""
+    v = np.sort(values)
+    keep = np.empty(v.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
+
+
+def row_labels(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, first) for the rows of a 2-D array: labels 0..k-1, equal
+    exactly when the rows are equal and numbered in `np.lexsort` order of
+    the rows, and first[i] the index of the first row labelled i."""
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    labels = np.empty(len(rows), dtype=np.int64)
+    labels[order] = np.cumsum(new) - 1
+    return labels, order[new]
+
+
 def _runs(spans) -> np.ndarray:
     """Sorted distinct indices covered by half-open runs [a, b)."""
     merged: list[list[int]] = []
@@ -512,7 +536,8 @@ class SphereNet:
 
     def complements(self, idx: np.ndarray) -> np.ndarray:
         """Foot bases of the rows idx, shape (len(idx), dim-1, dim): entry k
-        is `complement(idx[k])`.
+        is an orthonormal basis of the hyperplane orthogonal to row idx[k],
+        the rows after the first of `complete_orthonormal`.
 
         The bases live in a table that holds only the rows asked for so far;
         rows missing from it are filled in one `_complete_unit_rows` batch.
@@ -522,7 +547,7 @@ class SphereNet:
         slot = self._slot[idx]
         missing = slot < 0
         if missing.any():
-            self._fill(np.unique(idx[missing]))
+            self._fill(sorted_distinct(idx[missing]))
             slot = self._slot[idx]
         return self._table[slot]
 
@@ -535,12 +560,6 @@ class SphereNet:
         self._table[start:stop] = _complete_unit_rows(self.rows[rows])[:, 1:]
         self._slot[rows] = np.arange(start, stop)
         self._filled = stop
-
-    def complement(self, i: int) -> np.ndarray:
-        """Orthonormal basis, shape (dim-1, dim), of the hyperplane orthogonal
-        to row i: the rows after the first of `complete_orthonormal`, read
-        from the table of `complements`."""
-        return self.complements(np.array([i]))[0]
 
 
 @dataclass(frozen=True)

@@ -50,12 +50,14 @@ class TestBallNet:
             assert b == pytest.approx(2 * a) or b == 1.0
 
     def test_coverage_random_probes(self):
+        """Every line has a net center within r: the nearest candidate center
+        by `line_metric` to each `center_line`."""
         rng = np.random.default_rng(0)
         for n in (2, 3):
             net = BallNet.build(n, 2.0**-3)
             for line in random_lines(rng, 40, n):
                 for r in net.radii:
-                    assert net.nearest_center_distance(r, line) <= r
+                    assert min(metric_to_candidates(net, r, line).values()) <= r
 
     def test_overlap_bound_random_probes(self):
         rng = np.random.default_rng(1)
@@ -64,27 +66,40 @@ class TestBallNet:
             worst = 0
             for line in random_lines(rng, 40, n):
                 for r in net.radii:
-                    worst = max(worst, net.balls_containing(r, line))
+                    worst = max(worst, sum(d <= r + 1e-12 for d in metric_to_candidates(net, r, line).values()))
             assert worst <= net.overlap_bound
 
     def test_membership_matches_line_metric_oracle(self):
-        """The array membership test agrees with line_metric to each center_line."""
+        """The incidence distances are line_metric to each center_line, the
+        balls a counter adds a line to are the candidates within r by it, and
+        their packed keys sort as the keys (r, w_idx, *j) do."""
         rng = np.random.default_rng(2)
         for n in (2, 3):
             net = BallNet.build(n, 2.0**-4)
-            counter = IncrementalBallCounter(net, 2.0**-4, 1, 1.0)
             for line in random_lines(rng, 6, n):
-                inside, nearest = [], {}
-                feet, dirs = line.x[None], line.u.u[None]
+                inside = []
                 for r in net.radii:
-                    dists = {
-                        key: line_metric(line, net.center_line(r, wi, j))
-                        for key, (wi, j) in net.candidate_keys(r, feet, dirs).items()
-                    }
-                    inside += [key for key, dist in dists.items() if dist <= r + 1e-12]
-                    assert net.balls_containing(r, line) == sum(dist <= r + 1e-12 for dist in dists.values())
-                    assert net.nearest_center_distance(r, line) == pytest.approx(min(dists.values()), abs=1e-12)
-                assert counter._containing_keys(line) == inside
+                    metric = metric_to_candidates(net, r, line)
+                    inside += [key for key, d in metric.items() if d <= r + 1e-12]
+                    _, _, center_of, dist, _ = net._incidences((r,), line.x[None], line.u.u[None])
+                    np.testing.assert_allclose(dist[np.argsort(center_of)], list(metric.values()), rtol=0, atol=1e-12)
+                assert inside == sorted(inside)
+                counter = IncrementalBallCounter(net, 2.0**-4, 1, 1.0)
+                assert counter.try_add(line)
+                assert list(counter._counts) == packed_keys(net, inside) == sorted(packed_keys(net, inside))
+                assert set(counter._counts.values()) == {1}
+
+
+def metric_to_candidates(net, r, line):
+    """{key: line_metric(line, center_line)} over the line's candidate keys."""
+    keys = net.candidate_keys(r, line.x[None], line.u.u[None])
+    return {key: line_metric(line, net.center_line(r, wi, j)) for key, (wi, j) in keys.items()}
+
+
+def packed_keys(net, keys):
+    """The net's int64 ball keys of tuple keys (r, w_idx, *j)."""
+    rows = np.array([(net.radii.index(k[0]), *k[1:]) for k in keys], dtype=np.int64).reshape(-1, net.n + 1)
+    return net._keys(rows[:, 0], rows[:, 1], rows[:, 2:]).tolist()
 
 
 def clustered_lines(rng, count, n, spread):
@@ -103,7 +118,7 @@ def full_net_max(n, r, lines):
     axis = np.arange(-int((1.0 + r) / g), int((1.0 + r) / g) + 1)
     lattice = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"), axis=-1).reshape(-1, n - 1) * g
     lattice = lattice[np.linalg.norm(lattice, axis=1) <= 1.0 + r]
-    bases = np.stack([sphere.complement(i) for i in range(len(sphere))])
+    bases = sphere.complements(np.arange(len(sphere)))
     feet = np.einsum("wij,ki->wkj", bases, lattice)
     counts = np.zeros(feet.shape[:2], dtype=np.int64)
     for line in lines:
@@ -142,13 +157,26 @@ class TestIncidenceConsumers:
         ratios = [worst_ratio_of_lines(lines[:k], delta, 1, beta, net) for k in range(1, len(lines) + 1)]
         assert all(b >= a for a, b in zip(ratios, ratios[1:]))
 
-        counter = IncrementalBallCounter(net, delta, 1, beta)
-        kept = [l for l in lines if counter.try_add(l)]
+        kept = assert_counters_match_scans(net, lines, 1, beta)
         assert check_ball_condition(kept, delta, 1, beta, net)[0]
-        feet, dirs = np.stack([l.x for l in kept]), np.stack([l.u.u for l in kept])
-        for r in net.radii:
-            largest = max(c for key, c in counter.counts.items() if key[0] == r)
-            assert largest == net.scan(r, feet, dirs)[0]
+
+
+def assert_counters_match_scans(net, lines, d, beta):
+    """Insert the lines into an `IncrementalBallCounter` and a
+    `PerRadiusCounter`: the decisions and the per-ball counts (under packed
+    keys) agree, and at each radius the largest count is the scan maximum of
+    the kept lines.  Returns the kept lines."""
+    counter = IncrementalBallCounter(net, net.delta, d, beta)
+    reference = PerRadiusCounter(net, net.delta, d, beta)
+    decisions = [counter.try_add(l) for l in lines]
+    assert decisions == [reference.try_add(l) for l in lines]
+    assert counter._counts == reference.packed_counts()
+    kept = [l for l, added in zip(lines, decisions) if added]
+    feet, dirs = np.stack([l.x for l in kept]), np.stack([l.u.u for l in kept])
+    for r in net.radii:
+        largest = max(c for key, c in reference.counts.items() if key[0] == r)
+        assert largest == net.scan(r, feet, dirs)[0]
+    return kept
 
 
 class PerRadiusCounter:
@@ -162,7 +190,7 @@ class PerRadiusCounter:
     def keys(self, line):
         found = []
         for r in self.net.radii:
-            centers, center_of, dist, _ = self.net._incidences((r,), line.x[None], line.u.u[None])
+            centers, _, center_of, dist, _ = self.net._incidences((r,), line.x[None], line.u.u[None])
             found += [(r, *c[1:]) for c in centers[np.sort(center_of[dist <= r + 1e-12])].tolist()]
         return found
 
@@ -180,6 +208,10 @@ class PerRadiusCounter:
         for key in keys:
             self.counts[key] = self.counts.get(key, 0) + 1
         return True
+
+    def packed_counts(self):
+        """The counts under the net's int64 ball keys."""
+        return dict(zip(packed_keys(self.net, self.counts), self.counts.values()))
 
 
 class TestBatchedCounter:
@@ -203,9 +235,19 @@ class TestBatchedCounter:
         counter = IncrementalBallCounter(net, net.delta, 1, beta)
         reference = PerRadiusCounter(net, net.delta, 1, beta)
         for line in lines:
-            assert counter._containing_keys(line) == reference.keys(line)
             assert counter.try_add(line) == reference.try_add(line)
-        assert counter.counts == reference.counts
+            assert counter._counts == reference.packed_counts()
+
+    @pytest.mark.parametrize("d, beta, spread", [(2, 0.5, 0.2), (1, 1.0, 0.6)])
+    def test_n4_decisions_counts_and_scan_maxima(self, d, beta, spread):
+        """In n = 4 line space at delta = 0.5 (55,468 net rows over both
+        radii) the counters agree, and each radius's scan maximum on the kept
+        lines is the largest count there."""
+        rng = np.random.default_rng(4)
+        lines = clustered_lines(rng, 8, 4, spread) + random_lines(rng, 4, 4, max_foot=0.5)
+        lines += lines[:2]
+        kept = assert_counters_match_scans(BallNet.build(4, 0.5), lines, d, beta)
+        assert 0 < len(kept) < len(lines)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_line_rejected_at_one_radius(self, n):
@@ -219,8 +261,8 @@ class TestBatchedCounter:
         assert reference.violations(line) == [net.delta]
         assert not counter.try_add(line)
         assert not reference.try_add(line)
-        assert counter.counts == reference.counts
-        assert set(counter.counts.values()) == {1}
+        assert counter._counts == reference.packed_counts()
+        assert set(counter._counts.values()) == {1}
 
 
 class TestLimits:
@@ -232,19 +274,28 @@ class TestLimits:
             net.scan(1.0, feet, dirs)
 
     def test_counter_key_beyond_its_radix_fails_loudly(self):
-        """A foot index outside the counter's fixed radix raises rather than
-        wrapping into another ball's key."""
-        counter = IncrementalBallCounter(BallNet.build(3, 2.0**-3), 2.0**-3, 1, 1.0)
+        """A foot index outside the fixed field of the ball keys raises, from
+        an insertion and from a scan alike, rather than wrapping into another
+        ball's key."""
+        net = BallNet.build(3, 2.0**-3)
+        counter = IncrementalBallCounter(net, 2.0**-3, 1, 1.0)
         u = Direction([1.0, 0.0, 0.0])
         assert counter.try_add(Line(u, [0.0, 4e5, 0.0]))
-        with pytest.raises(OverflowError, match="too far out"):
+        assert net.scan(net.delta, np.array([[0.0, 4e5, 0.0]]), u.u[None])[0] == 1.0
+        with pytest.raises(OverflowError, match=KEY_OVERFLOW.format(delta=0.125)):
             counter.try_add(Line(u, [0.0, 6e5, 0.0]))
+        with pytest.raises(OverflowError, match=KEY_OVERFLOW.format(delta=0.125)):
+            net.scan(net.delta, np.array([[0.0, 6e5, 0.0]]), u.u[None])
 
     def test_unpackable_lattice_fails_loudly(self):
         net = BallNet.build(3, 0.5)
         feet = np.array([[0.0, 1e9, 1e9], [0.0, -1e9, -1e9]])
-        with pytest.raises(OverflowError, match="too far apart"):
+        with pytest.raises(OverflowError, match=KEY_OVERFLOW.format(delta=0.5)):
             net.scan(1.0, feet, np.tile(np.eye(3)[0], (2, 1)))
+
+
+#: The one error of a foot index outside the ball-key layout.
+KEY_OVERFLOW = r"foot index beyond \+-\d+ in the ball keys at delta = {delta:g}; lines too far out"
 
 
 class TestWorstRatio:

@@ -10,12 +10,11 @@ from tubelab.dimension import (
     Region,
     box_counting_dim,
     box_counts,
-    build_E_delta,
     default_dimension_scales,
     exponent_fit_norms,
     holder_comparison,
 )
-from tubelab.functionals import Grid, TubeFamily, lp_norm_tube_sum, rasterize_tube
+from tubelab.functionals import FamilyRaster, Grid, TubeFamily, lp_norm_tube_sum, rasterize_tube
 from tubelab.generators import cantor_offsets, gen_bush, gen_lines_in_planes
 from tubelab.linegeom import Direction, GeometryError, Tube
 from tubelab.suites import suite_member
@@ -43,7 +42,7 @@ class TestRegion:
         T = Tube([0.0, 0.0], Direction([1.0, 0.0]), delta)
         F = TubeFamily([T], delta, 2, 1, 1.0)
         G = Grid.for_family(F, 4)
-        E = build_E_delta(F, G)
+        E = Region(G, FamilyRaster.build(F, G).occ)
         assert E.volume == pytest.approx(T.volume(), rel=0.05)
 
     def test_disjoint_union_additive(self):
@@ -53,8 +52,8 @@ class TestRegion:
         F = TubeFamily([T1, T2], delta, 2, 1, 1.0)
         F1 = TubeFamily([T1], delta, 2, 1, 1.0)
         G = Grid.for_family(F, 4)
-        assert build_E_delta(F, G).volume == pytest.approx(
-            2 * build_E_delta(F1, G).volume
+        assert Region(G, FamilyRaster.build(F, G).occ).volume == pytest.approx(
+            2 * Region(G, FamilyRaster.build(F1, G).occ).volume
         )
 
     def test_coincident_tubes_volume_of_one(self):
@@ -63,7 +62,7 @@ class TestRegion:
         F2 = TubeFamily([T, T], delta, 2, 1, 1.0)
         F1 = TubeFamily([T], delta, 2, 1, 1.0)
         G = Grid.for_family(F1, 4)
-        assert build_E_delta(F2, G).volume == build_E_delta(F1, G).volume
+        assert Region(G, FamilyRaster.build(F2, G).occ).volume == Region(G, FamilyRaster.build(F1, G).occ).volume
 
 
 class TestRegionCells:
@@ -104,7 +103,7 @@ class TestBoxCountingDim:
         T = Tube([0.0, 0.0, 0.0], Direction([1.0, 0.0, 0.0]), delta)
         F = TubeFamily([T], delta, 3, 1, 1.0)
         G = Grid.for_family(F, 4)
-        E = build_E_delta(F, G)
+        E = Region(G, FamilyRaster.build(F, G).occ)
         scales = [2.0**-j for j in range(1, 5)]
         # Anchor averaging removes the +1 alignment bias that dominates a
         # short ladder of coarse scales.

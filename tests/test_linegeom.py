@@ -383,13 +383,13 @@ class TestSphereNet:
         monkeypatch.setattr(linegeom, "_complete_unit_rows", counting)
         net = SphereNet(4, 0.5)
         for i in (0, len(net) // 2, len(net) - 1):
-            q = net.complement(i)
+            q = net.complements(np.array([i]))[0]
             assert q.shape == (3, 4)
             np.testing.assert_allclose(q @ q.T, np.eye(3), atol=1e-12)
             np.testing.assert_allclose(q @ net.rows[i], 0.0, atol=1e-12)
             assert q.tobytes() == complete_orthonormal(net.rows[i][None], 4)[1:].tobytes()
             before = len(fills)
-            assert net.complement(i).tobytes() == q.tobytes()
+            assert net.complements(np.array([i]))[0].tobytes() == q.tobytes()
             assert len(fills) == before
         assert fills == [1, 1, 1]
 
