@@ -31,6 +31,7 @@ from .concentration import (
     ThinningError,
     ball_condition_worst_ratio,
     random_thin,
+    random_thin_trials,
 )
 from .dichotomy import (
     DichotomyResult,
@@ -111,6 +112,7 @@ __all__ = [
     "multilinear_kakeya_rhs",
     "point_in_tube",
     "random_thin",
+    "random_thin_trials",
     "rescale_into_ball",
     "subspace_wedge",
     "unit_ball_volume",

@@ -29,6 +29,7 @@ from .concentration import (
     BallNet,
     ThinningError,
     random_thin,
+    random_thin_trials,
     worst_ratio_of_lines,
 )
 from .dichotomy import (
@@ -354,17 +355,11 @@ def _run_thin(params: dict, seed: int):
     pair = [Line(u, [0.0, 0.0]), Line(u, [0.0, 0.5])]
     small_net = BallNet.build(2, small_delta)
     trial_seeds = np.random.default_rng([seed, 101]).integers(2**62, size=binom_trials)
-    wins = 0
-    for t in range(binom_trials):
-        try:
-            random_thin(
-                pair, A=2.0, C0=1.0, eps=0.0, delta=small_delta, seed=int(trial_seeds[t]),
-                net=small_net, d=1, beta=1.0, max_attempts=1,
-            )
-            wins += 1
-        except ThinningError:
-            pass
-    binom_rate = wins / binom_trials
+    wins = random_thin_trials(
+        pair, A=2.0, C0=1.0, eps=0.0, delta=small_delta, seeds=trial_seeds,
+        net=small_net, d=1, beta=1.0,
+    )
+    binom_rate = int(np.count_nonzero(wins)) / binom_trials
     analytic = 1.0 - 0.25  # P(Binomial(2, 1/2) >= 1)
 
     values = {

@@ -16,6 +16,7 @@ from tubelab.concentration import (
     ThinningError,
     ball_condition_worst_ratio,
     random_thin,
+    random_thin_trials,
     worst_ratio_of_lines,
 )
 from tubelab.dichotomy import (
@@ -233,14 +234,17 @@ def test_criterion_08_random_thinning():
     pair = [Line(u, [0.0, 0.0]), Line(u, [0.0, 0.5])]
     small_net = BallNet.build(2, small_delta)
     seeds = np.random.default_rng(77).integers(2**62, size=10_000)
+    trials = random_thin_trials(pair, A=2.0, C0=1.0, eps=0.0, delta=small_delta, seeds=seeds,
+                                net=small_net, d=1, beta=1.0)
     wins = 0
-    for s in seeds:
+    for s, won in zip(seeds, trials):
         try:
             random_thin(pair, A=2.0, C0=1.0, eps=0.0, delta=small_delta, seed=int(s),
                         net=small_net, d=1, beta=1.0, max_attempts=1)
             wins += 1
+            assert won, s
         except ThinningError:
-            pass
+            assert not won, s
     rate = wins / 10_000
     assert abs(rate - 0.75) <= 0.02
     _report(

@@ -14,6 +14,7 @@ from tubelab.concentration import (
     check_ball_condition,
     concentration_exponent,
     random_thin,
+    random_thin_trials,
     worst_ratio_of_lines,
 )
 from tubelab.functionals import TubeFamily
@@ -373,15 +374,59 @@ class TestRandomThin:
         pair = [Line(u, [0.0, 0.0]), Line(u, [0.0, 0.5])]
         net = BallNet.build(2, delta)
         seeds = np.random.default_rng(3).integers(2**62, size=3000)
+        trials = random_thin_trials(pair, A=2.0, C0=1.0, eps=0.0, delta=delta, seeds=seeds,
+                                    net=net, d=1, beta=1.0)
         wins = 0
-        for s in seeds:
+        for s, won in zip(seeds, trials):
             try:
                 random_thin(pair, A=2.0, C0=1.0, eps=0.0, delta=delta, seed=int(s),
                             net=net, d=1, beta=1.0, max_attempts=1)
                 wins += 1
+                assert won, s
             except ThinningError:
-                pass
+                assert not won, s
         assert wins / 3000 == pytest.approx(0.75, abs=0.035)
+
+    def test_trials_match_when_balls_fail(self):
+        # A near-coincident pair and two far lines at probability 1/2: a
+        # mask fails the size test when it keeps nothing and the r = delta
+        # ball bound when it keeps the whole pair.
+        delta = 2.0**-6
+        u = Direction([1.0, 0.0])
+        lines = [Line(u, [0.0, y]) for y in (0.0, delta / 100, 0.5, -0.5)]
+        net = BallNet.build(2, delta)
+        seeds = np.random.default_rng(8).integers(2**62, size=200)
+        trials = random_thin_trials(lines, A=2.0, C0=1.0, eps=0.0, delta=delta, seeds=seeds,
+                                    net=net, d=1, beta=1.0)
+        failures = set()
+        for s, won in zip(seeds, trials):
+            try:
+                random_thin(lines, A=2.0, C0=1.0, eps=0.0, delta=delta, seed=int(s),
+                            net=net, d=1, beta=1.0, max_attempts=1)
+                assert won, s
+            except ThinningError as err:
+                assert not won, s
+                failures.add("ball" if err.worst_ball else "size")
+        assert failures == {"ball", "size"}
+
+    @pytest.mark.parametrize(
+        "lines, seeds, message",
+        [
+            (None, [], "at least one seed"),
+            (None, [3, -1], r"\[0, 2\*\*64\), got -1"),
+            (None, np.array([-2, 5]), r"\[0, 2\*\*64\), got -2"),
+            (None, [2**64], r"\[0, 2\*\*64\), got 18446744073709551616"),
+            (None, [1.5], "integers in"),
+            (None, np.array([1.0, 2.0]), "integers in"),
+            ([], [1], "non-empty line set"),
+        ],
+    )
+    def test_trials_input_errors(self, lines, seeds, message):
+        delta = 2.0**-4
+        lines = parallel_lines(4, 2.0**-2) if lines is None else lines
+        with pytest.raises(ValueError, match=message):
+            random_thin_trials(lines, A=2.0, C0=1.0, eps=0.0, delta=delta, seeds=seeds,
+                               net=BallNet.build(2, delta), d=1, beta=1.0)
 
     def test_all_retries_fail_carries_worst_ball(self):
         # Concentrated lines at probability 1: every attempt keeps all of
@@ -406,6 +451,28 @@ class TestRandomThin:
         with pytest.raises(ValueError, match="max_attempts must be >= 1"):
             random_thin(parallel_lines(4, 2.0**-2), A=1.0, C0=1.0, eps=0.0, delta=2.0**-4, seed=0,
                         net=BallNet.build(2, 2.0**-4), d=1, beta=1.0, max_attempts=max_attempts)
+
+
+class TestUniformRows:
+    """The vectorized SeedSequence + PCG64 kernel against numpy itself."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**62, 2**64 - 1]
+
+    @pytest.mark.parametrize("attempt", [0, 1, 2**31])
+    def test_bit_identical_to_default_rng(self, attempt):
+        seeds = self.SEEDS + np.random.default_rng(11).integers(2**62, size=3000).tolist()
+        for m in (1, 2, 128):
+            got = concentration._uniform_rows(seeds, attempt, m)
+            want = np.stack([np.random.default_rng([s, attempt]).random(m) for s in seeds])
+            assert np.array_equal(got, want), (
+                f"numpy {np.__version__}: seed stream differs for attempt={attempt}, m={m}, "
+                f"first seed {seeds[int(np.argmax(np.any(got != want, axis=1)))]}"
+            )
+
+    @pytest.mark.parametrize("attempt", [-1, 2**32])
+    def test_attempt_outside_domain_rejected(self, attempt):
+        with pytest.raises(ValueError, match=r"attempt must lie in \[0, 2\*\*32\)"):
+            concentration._uniform_rows([1], attempt, 2)
 
 
 def reference_thin(lines, q, seed, delta, s, radii, max_attempts):
