@@ -354,9 +354,8 @@ def _run_thin(params: dict, seed: int):
     u = Direction([1.0, 0.0])
     pair = [Line(u, [0.0, 0.0]), Line(u, [0.0, 0.5])]
     small_net = BallNet.build(2, small_delta)
-    trial_seeds = np.random.default_rng([seed, 101]).integers(2**62, size=binom_trials)
     wins = random_thin_trials(
-        pair, A=2.0, C0=1.0, eps=0.0, delta=small_delta, seeds=trial_seeds,
+        pair, A=2.0, C0=1.0, eps=0.0, delta=small_delta, seed=[seed, 101], trials=binom_trials,
         net=small_net, d=1, beta=1.0,
     )
     binom_rate = int(np.count_nonzero(wins)) / binom_trials

@@ -27,10 +27,9 @@ kept on the net for the last line set asked about.  Every ball count, a
 scan of the whole set and each subset a thinning attempt keeps, is one
 `bincount` of those pairs under a mask of the lines.
 
-`random_thin_trials` makes the one-attempt draw of `random_thin` for many
-seeds at once: `_uniform_rows` runs numpy's seeding (SeedSequence mixing,
-then PCG64) on uint64 arrays over every seed, so each mask equals the one
-`np.random.default_rng([seed, 0])` draws bit for bit.
+`random_thin_trials` runs many one-attempt thinnings at once: every trial's
+mask is a row of one seeded generator's stream, judged by the acceptance
+rule `random_thin` applies to each attempt.
 """
 
 from __future__ import annotations
@@ -106,6 +105,8 @@ class BallNet:
 
     @classmethod
     def build(cls, n: int, delta: float) -> "BallNet":
+        if not 0.0 < delta <= 0.5:
+            raise GeometryError(f"ball-net scale must lie in (0, 1/2], got {delta}")
         radii = []
         r = float(delta)
         while r < 1.0 - 1e-12:
@@ -394,138 +395,21 @@ def random_thin(
 
 
 def random_thin_trials(
-    L3, A: float, C0: float, eps: float, delta: float, seeds, net: BallNet, d: int, beta: float
+    L3, A: float, C0: float, eps: float, delta: float, seed, trials: int, net: BallNet, d: int, beta: float
 ) -> np.ndarray:
-    """Entry i is True exactly when `random_thin(..., seed=seeds[i],
-    max_attempts=1)` returns rather than raising.
+    """Run `trials` independent one-attempt thinnings; entry i says whether
+    trial i's thinned set is accepted.
 
-    Every seed's mask comes from one `_uniform_rows` draw, and each distinct
+    Trial i keeps the lines where row i of
+    `np.random.default_rng(seed).random((trials, len(L3)))` is below q, and is
+    judged by the rule of each `random_thin` attempt: at least half the
+    expected size, one line or more, and the ball condition.  Each distinct
     mask is judged once.
     """
     L3, q, s, feet, dirs = _thinning_inputs(L3, A, C0, eps, delta, d, beta)
-    if len(seeds) == 0:
-        raise ValueError("seeds must hold at least one seed")
-    masks = _uniform_rows(seeds, 0, len(L3)) < q
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    masks = np.random.default_rng(seed).random((trials, len(L3))) < q
     labels, first = row_labels(masks)
     verdicts = np.array([_accepts(net, feet, dirs, masks[i], q, delta, s)[0] for i in first])
     return verdicts[labels]
-
-
-# ---------------------------------------------------------------------------
-# numpy's seeded stream, vectorized over seeds
-# ---------------------------------------------------------------------------
-
-# SeedSequence constants (numpy/random/bit_generator.pyx).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_POOL = 4
-_M32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier, as (high, low) 64-bit words.
-_PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)
-
-
-def _hash_consts(init: int, mult: int, n: int) -> list[tuple[np.uint32, np.uint32]]:
-    """(xor, multiplier) of the first n hash steps from constant `init`."""
-    out = []
-    for _ in range(n):
-        nxt = (init * mult) & _M32
-        out.append((np.uint32(init), np.uint32(nxt)))
-        init = nxt
-    return out
-
-
-def _hash(value: np.ndarray, consts) -> np.ndarray:
-    x, m = consts
-    value = (value ^ x) * m
-    return value ^ (value >> np.uint32(16))
-
-
-def _seed_words(seeds, attempt: int) -> np.ndarray:
-    """(len(seeds), 4) uint32 entropy words of `SeedSequence([seed, attempt])`,
-    zero-padded to the pool size."""
-    if not 0 <= attempt < 2**32:
-        raise ValueError(f"attempt must lie in [0, 2**32), got {attempt}")
-    if isinstance(seeds, np.ndarray) and seeds.ndim == 1 and seeds.dtype.kind in "iu":
-        if seeds.size and seeds.min() < 0:
-            raise ValueError(f"seeds must lie in [0, 2**64), got {seeds.min()}")
-        seeds = seeds.astype(np.uint64)
-    else:
-        seeds = list(seeds)
-        bad = [v for v in seeds if not isinstance(v, (int, np.integer)) or isinstance(v, bool)]
-        if bad:
-            raise ValueError(f"seeds must be integers in [0, 2**64), got {bad[0]!r}")
-        bad = [v for v in seeds if not 0 <= v < 2**64]
-        if bad:
-            raise ValueError(f"seeds must lie in [0, 2**64), got {bad[0]}")
-        seeds = np.array([int(v) for v in seeds], dtype=np.uint64)
-    lo = (seeds & np.uint64(_M32)).astype(np.uint32)
-    hi = (seeds >> np.uint64(32)).astype(np.uint32)
-    # A seed is one 32-bit word below 2**32 and two above; the attempt follows.
-    wide = hi != 0
-    words = np.zeros((len(seeds), _POOL), dtype=np.uint32)
-    words[:, 0] = lo
-    words[:, 1] = np.where(wide, hi, np.uint32(attempt))
-    words[:, 2] = np.where(wide, np.uint32(attempt), np.uint32(0))
-    return words
-
-
-def _pcg_mul(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) * _PCG_MULT mod 2**128, on 32-bit limbs of the low words."""
-    m_hi, m_lo = np.uint64(_PCG_MULT[0]), np.uint64(_PCG_MULT[1])
-    mask, sh = np.uint64(_M32), np.uint64(32)
-    l0, l1 = lo & mask, lo >> sh
-    m0, m1 = m_lo & mask, m_lo >> sh
-    p00, p01, p10 = l0 * m0, l0 * m1, l1 * m0
-    mid = (p00 >> sh) + (p01 & mask) + (p10 & mask)
-    low = (mid << sh) | (p00 & mask)
-    high = l1 * m1 + (p01 >> sh) + (p10 >> sh) + (mid >> sh) + hi * m_lo + lo * m_hi
-    return high, low
-
-
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    hi, lo = _pcg_mul(hi, lo)
-    lo = lo + inc_lo
-    return hi + inc_hi + (lo < inc_lo), lo
-
-
-def _uniform_rows(seeds, attempt: int, m: int) -> np.ndarray:
-    """`np.random.default_rng([seed, attempt]).random(m)` for every seed, as
-    the rows of one (len(seeds), m) float64 array, equal bit for bit.
-
-    SeedSequence mixing and PCG64 XSL-RR run in fixed-width integer arrays
-    over all seeds at once.  Seeds lie in [0, 2**64) and the attempt in
-    [0, 2**32): their entropy then fits the pool of four words, so numpy's
-    mixing of longer entropy never runs.
-    """
-    words = _seed_words(seeds, attempt)
-    # SeedSequence.mix_entropy
-    consts = iter(_hash_consts(_INIT_A, _MULT_A, _POOL * _POOL))
-    pool = [_hash(words[:, i], next(consts)) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hash(pool[src], next(consts))
-                pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    # SeedSequence.generate_state(4, np.uint64): little-endian word pairs.
-    consts = _hash_consts(_INIT_B, _MULT_B, 8)
-    state = [_hash(pool[i % _POOL], c).astype(np.uint64) for i, c in enumerate(consts)]
-    val = [state[2 * k] | (state[2 * k + 1] << np.uint64(32)) for k in range(4)]
-    # pcg64_set_seed: srandom with state (val[0], val[1]) and sequence
-    # (val[2], val[3]); the increment is the sequence shifted left and odd.
-    # srandom steps from state 0, which gives the increment, adds the state
-    # and steps again.
-    one = np.uint64(1)
-    inc_hi = (val[2] << one) | (val[3] >> np.uint64(63))
-    inc_lo = (val[3] << one) | one
-    lo = inc_lo + val[1]
-    hi = inc_hi + val[0] + (lo < inc_lo)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    out = np.empty((len(words), m), dtype=np.float64)
-    for col in range(m):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        # XSL-RR output, then the top 53 bits as a double in [0, 1).
-        x, rot = hi ^ lo, hi >> np.uint64(58)
-        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-        out[:, col] = (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return out

@@ -41,6 +41,8 @@ def cantor_offsets(beta: float, delta: float) -> np.ndarray:
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    if not 0.0 < delta <= 0.5:
+        raise ValueError(f"Cantor scale must lie in (0, 1/2], got {delta}")
     c = 2.0 ** (-1.0 / beta)
     m = max(int(math.floor(beta * math.log2(1.0 / delta) + 1e-9)), 1)
     offsets = np.array([0.0])

@@ -201,6 +201,31 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "scenario, params, message",
+        [
+            ("thin", {"delta": 0}, "ball-net scale must lie in (0, 1/2], got 0.0"),
+            ("dimension", {"cantor_delta": 0}, "Cantor scale must lie in (0, 1/2], got 0.0"),
+            (
+                "dimension",
+                {"families": [{"n": 2, "d": 1, "beta": 1.0, "delta": 0}]},
+                "Cantor scale must lie in (0, 1/2], got 0.0",
+            ),
+            (
+                "sharpness",
+                {"configs": [{"n": 2, "d": 1, "beta": 1.0, "scales": [0, 0.125, 0.0625]}]},
+                "Cantor scale must lie in (0, 1/2], got 0.0",
+            ),
+        ],
+    )
+    def test_zero_scale_exits_two(self, tmp_path, capsys, scenario, params, message):
+        """A scale of 0 is named in one error line, not a hang or a ZeroDivisionError."""
+        cfg = self._config_file(tmp_path, [{"name": "zero", "scenario": scenario, "seed": 0, "params": params}])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error in scenario zero: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "params, message",
         [
             ({"trials": 0}, "trials must be >= 1, got 0"),

@@ -50,6 +50,11 @@ class TestBallNet:
         for a, b in zip(net.radii, net.radii[1:]):
             assert b == pytest.approx(2 * a) or b == 1.0
 
+    @pytest.mark.parametrize("delta", [0.0, -0.25, 0.75, float("nan"), float("inf")])
+    def test_scale_outside_range_rejected(self, delta):
+        with pytest.raises(GeometryError, match=r"ball-net scale must lie in \(0, 1/2\]"):
+            BallNet.build(2, delta)
+
     def test_coverage_random_probes(self):
         """Every line has a net center within r: the nearest candidate center
         by `line_metric` to each `center_line`."""
@@ -374,58 +379,50 @@ class TestRandomThin:
         pair = [Line(u, [0.0, 0.0]), Line(u, [0.0, 0.5])]
         net = BallNet.build(2, delta)
         seeds = np.random.default_rng(3).integers(2**62, size=3000)
-        trials = random_thin_trials(pair, A=2.0, C0=1.0, eps=0.0, delta=delta, seeds=seeds,
-                                    net=net, d=1, beta=1.0)
         wins = 0
-        for s, won in zip(seeds, trials):
+        for s in seeds:
             try:
                 random_thin(pair, A=2.0, C0=1.0, eps=0.0, delta=delta, seed=int(s),
                             net=net, d=1, beta=1.0, max_attempts=1)
                 wins += 1
-                assert won, s
             except ThinningError:
-                assert not won, s
+                pass
         assert wins / 3000 == pytest.approx(0.75, abs=0.035)
+        trials = random_thin_trials(pair, A=2.0, C0=1.0, eps=0.0, delta=delta, seed=3, trials=3000,
+                                    net=net, d=1, beta=1.0)
+        assert np.count_nonzero(trials) / 3000 == pytest.approx(0.75, abs=0.035)
 
     def test_trials_match_when_balls_fail(self):
         # A near-coincident pair and two far lines at probability 1/2: a
         # mask fails the size test when it keeps nothing and the r = delta
-        # ball bound when it keeps the whole pair.
+        # ball bound when it keeps the whole pair.  Each redrawn mask is
+        # judged by the all-pairs reference.
         delta = 2.0**-6
         u = Direction([1.0, 0.0])
         lines = [Line(u, [0.0, y]) for y in (0.0, delta / 100, 0.5, -0.5)]
         net = BallNet.build(2, delta)
-        seeds = np.random.default_rng(8).integers(2**62, size=200)
-        trials = random_thin_trials(lines, A=2.0, C0=1.0, eps=0.0, delta=delta, seeds=seeds,
+        trials = random_thin_trials(lines, A=2.0, C0=1.0, eps=0.0, delta=delta, seed=8, trials=200,
                                     net=net, d=1, beta=1.0)
-        failures = set()
-        for s, won in zip(seeds, trials):
-            try:
-                random_thin(lines, A=2.0, C0=1.0, eps=0.0, delta=delta, seed=int(s),
-                            net=net, d=1, beta=1.0, max_attempts=1)
-                assert won, s
-            except ThinningError as err:
-                assert not won, s
-                failures.add("ball" if err.worst_ball else "size")
+        masks = np.random.default_rng(8).random((200, 4)) < 0.5
+        verdicts = {m: reference_accepts(lines, m, 0.5, delta, 1.0, net.radii) for m in set(map(tuple, masks))}
+        assert trials.tolist() == [verdicts[tuple(m)][0] for m in masks]
+        failures = {"ball" if worst else "size" for ok, worst in verdicts.values() if not ok}
         assert failures == {"ball", "size"}
 
     @pytest.mark.parametrize(
-        "lines, seeds, message",
+        "lines, seed, trials, message",
         [
-            (None, [], "at least one seed"),
-            (None, [3, -1], r"\[0, 2\*\*64\), got -1"),
-            (None, np.array([-2, 5]), r"\[0, 2\*\*64\), got -2"),
-            (None, [2**64], r"\[0, 2\*\*64\), got 18446744073709551616"),
-            (None, [1.5], "integers in"),
-            (None, np.array([1.0, 2.0]), "integers in"),
-            ([], [1], "non-empty line set"),
+            ([], 1, 1, "non-empty line set"),
+            (None, 1, 0, "trials must be >= 1, got 0"),
+            (None, 1, -1, "trials must be >= 1, got -1"),
+            (None, -1, 1, "non-negative"),
         ],
     )
-    def test_trials_input_errors(self, lines, seeds, message):
+    def test_trials_input_errors(self, lines, seed, trials, message):
         delta = 2.0**-4
         lines = parallel_lines(4, 2.0**-2) if lines is None else lines
         with pytest.raises(ValueError, match=message):
-            random_thin_trials(lines, A=2.0, C0=1.0, eps=0.0, delta=delta, seeds=seeds,
+            random_thin_trials(lines, A=2.0, C0=1.0, eps=0.0, delta=delta, seed=seed, trials=trials,
                                net=BallNet.build(2, delta), d=1, beta=1.0)
 
     def test_all_retries_fail_carries_worst_ball(self):
@@ -453,52 +450,39 @@ class TestRandomThin:
                         net=BallNet.build(2, 2.0**-4), d=1, beta=1.0, max_attempts=max_attempts)
 
 
-class TestUniformRows:
-    """The vectorized SeedSequence + PCG64 kernel against numpy itself."""
-
-    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**62, 2**64 - 1]
-
-    @pytest.mark.parametrize("attempt", [0, 1, 2**31])
-    def test_bit_identical_to_default_rng(self, attempt):
-        seeds = self.SEEDS + np.random.default_rng(11).integers(2**62, size=3000).tolist()
-        for m in (1, 2, 128):
-            got = concentration._uniform_rows(seeds, attempt, m)
-            want = np.stack([np.random.default_rng([s, attempt]).random(m) for s in seeds])
-            assert np.array_equal(got, want), (
-                f"numpy {np.__version__}: seed stream differs for attempt={attempt}, m={m}, "
-                f"first seed {seeds[int(np.argmax(np.any(got != want, axis=1)))]}"
-            )
-
-    @pytest.mark.parametrize("attempt", [-1, 2**32])
-    def test_attempt_outside_domain_rejected(self, attempt):
-        with pytest.raises(ValueError, match=r"attempt must lie in \[0, 2\*\*32\)"):
-            concentration._uniform_rows([1], attempt, 2)
+def reference_accepts(lines, mask, q, delta, s, radii):
+    """(ok, worst) for the lines `mask` keeps: the size rule, then all-pairs
+    counts over every net center (`full_net_max`); worst is (r, count,
+    bound) of the worst violating ball, or None when the size rule fails."""
+    kept = [l for l, m in zip(lines, mask) if m]
+    if 2 * len(kept) < q * len(lines) or not kept:
+        return False, None
+    worst, excess = None, 1.0
+    for r in radii:
+        bound = (r / delta) ** s
+        if bound >= len(kept):
+            continue
+        count = full_net_max(lines[0].n, r, kept)
+        if count > bound * (1.0 + 1e-12) and count / bound > excess:
+            worst, excess = (r, count, bound), count / bound
+    return worst is None, worst
 
 
 def reference_thin(lines, q, seed, delta, s, radii, max_attempts):
-    """Per-attempt thinning: redraw each attempt's mask and check the kept
-    lines with all-pairs counts over every net center (`full_net_max`).
+    """Per-attempt thinning: redraw each attempt's mask and judge it with
+    `reference_accepts`.
 
     Returns ("ok", kept, attempts) or ("fail", kept, (r, count, bound)) with
     the last failing attempt's kept lines and worst ball."""
-    n = lines[0].n
     failed = None
     for attempt in range(max_attempts):
         mask = np.random.default_rng([seed, attempt]).random(len(lines)) < q
         kept = [l for l, m in zip(lines, mask) if m]
-        if 2 * len(kept) < q * len(lines) or not kept:
-            continue
-        worst, excess = None, 1.0
-        for r in radii:
-            bound = (r / delta) ** s
-            if bound >= len(kept):
-                continue
-            count = full_net_max(n, r, kept)
-            if count > bound * (1.0 + 1e-12) and count / bound > excess:
-                worst, excess = (r, count, bound), count / bound
-        if worst is None:
+        ok, worst = reference_accepts(lines, mask, q, delta, s, radii)
+        if ok:
             return "ok", kept, attempt + 1
-        failed = kept, worst
+        if worst is not None:
+            failed = kept, worst
     return ("fail", *failed) if failed else ("fail", [], None)
 
 

@@ -27,6 +27,11 @@ class TestCantorOffsets:
         assert len(cantor_offsets(0.5, 2.0**-6)) == 8
         assert len(cantor_offsets(0.5, 2.0**-4)) == 4
 
+    @pytest.mark.parametrize("delta", [0.0, -0.5, 0.75, float("nan")])
+    def test_scale_outside_range_rejected(self, delta):
+        with pytest.raises(ValueError, match=r"Cantor scale must lie in \(0, 1/2\]"):
+            cantor_offsets(0.5, delta)
+
     def test_covering_exponent(self):
         # Exact covering counts of the construction at dyadic scales fit
         # the target exponent.
