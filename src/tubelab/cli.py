@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -93,6 +94,37 @@ def _check_grid_factor(factor, source: str) -> int:
     return int(factor)
 
 
+#: The scale key of each entry of the nested list params: sharpness
+#: `configs` fit over a list of scales, dimension `families` run at one delta.
+_ENTRY_SCALES = {"configs": "scales", "families": "delta"}
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _check_entries(key: str, entries) -> None:
+    """A ConfigError unless `entries` is a list of objects with exactly the
+    keys n, d, beta and the scale key of `key`, holding integers n, d and
+    numbers, with beta in (0, 1] (the rule of `cantor_offsets`, checked
+    before p = p'/(p'-1) divides by d + beta - 1)."""
+    scale = _ENTRY_SCALES[key]
+    want = sorted({"n", "d", "beta", scale})
+    if not isinstance(entries, list):
+        raise ConfigError(f"{key} must be a list of objects with keys {want}, got {entries!r}")
+    for e in entries:
+        if not isinstance(e, dict) or sorted(e) != want:
+            raise ConfigError(f"each entry of {key} must be an object with exactly the keys {want}, got {e!r}")
+        scales = e["scales"] if scale == "scales" else [e["delta"]]
+        if not (
+            _is_integral(e["n"]) and _is_integral(e["d"]) and _is_real(e["beta"])
+            and isinstance(scales, list) and all(_is_real(x) for x in scales)
+        ):
+            raise ConfigError(f"each entry of {key} needs integers n, d and numbers for beta and {scale}, got {e!r}")
+        if not 0.0 < e["beta"] <= 1.0:
+            raise ConfigError(f"beta in {key} must lie in (0, 1], got {e['beta']!r}")
+
+
 def _grid_factor(grid_h: float) -> int:
     """The integer f with grid_h = 1/f, for f in GRID_FACTORS."""
     f = round(1.0 / grid_h) if grid_h >= 1.0 / (GRID_FACTORS[-1] + 1) else 0
@@ -135,6 +167,8 @@ class ExperimentConfig:
         if "grid_factor" in self.params:
             factor = self.params["grid_factor"]
             _check_grid_factor(factor, f"grid_factor {factor!r}")
+        for key in _ENTRY_SCALES.keys() & self.params.keys():
+            _check_entries(key, self.params[key])
         members = self.params.get("members", "all")
         if members != "all":
             known = [m.name for m in standard_suite()]

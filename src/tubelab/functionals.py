@@ -9,17 +9,18 @@ unions of slabs.
 Tubes are rasterized by a scanline over their capsules, a batch of tubes at
 a time (`_tube_runs`): rows of cells along the axis closest to each tube's
 direction, one closed-form interval of candidates per row, and the exact
-distance test to the core segment as the only membership decision.  The test
-runs on the cells at both ends of an interval; the distance to a segment is
-convex along a row, so the cells between two ends that pass with a margin
-are kept untested, and the kept cells of a row form one run.  A family is
-rasterized once per grid into a `FamilyRaster`: its runs are counted in one
-int64 field by differences along each row and a cumulative sum, and small
-families also keep their runs, expanded into per-tube cell lists when an
-evaluation first reads them.  `rasterize_tube` is the one-tube case.  The
-raster carries its family and is passed to every evaluation on that grid, so
-norms, cap and coarse-tube groupings and multilinear sums share one
-rasterization.
+distance test to the core segment, elementwise one coordinate at a time and
+so independent of the batch, as the only membership decision.  The test runs
+on the cells at both ends of an interval; the distance to a segment is convex
+along a row, so the cells between two ends that pass with a margin are kept
+untested, and the kept cells of a row form one run.  A family is rasterized
+once per grid into a `FamilyRaster`: its runs are counted in an int64 field
+by differences along each row and a cumulative sum, or by `np.unique` for
+sparse families of at most PER_TUBE_LIMIT tubes, and small families also
+keep their runs, expanded into per-tube cell lists when an evaluation first
+reads them.  `rasterize_tube` is the one-tube case.  The raster carries its
+family and is passed to every evaluation on that grid, so norms, cap and
+coarse-tube groupings and multilinear sums share one rasterization.
 Multilinear sums group the candidate cells into faces, the cells contained
 in the same tubes of every slot, and sum the wedge volumes of a face's tuples
 once, from one table computed by `linegeom.tuple_wedges`; the k-fold product
@@ -277,10 +278,10 @@ def _tube_runs(grid: Grid, tubes):
     start + i * m^(n-1-a) for 0 <= i < count.
 
     A batch holds tubes with the same scan axes at every level of
-    `_scan_cells` (`_scan_axes`), ordered by direction, and about
-    `_BATCH_ROWS` candidate rows.  Batches come grouped by a, in descending
-    order: the count field needs no differencing for its first axis, and
-    differences slowest along the last.
+    `_scan_cells` (`_scan_axes`), in family order, and about `_BATCH_ROWS`
+    candidate rows.  Batches come grouped by a, in descending order: the
+    count field needs no differencing for its first axis, and differences
+    slowest along the last.
     """
     n, h = grid.n, grid.h
     if not tubes:
@@ -290,8 +291,7 @@ def _tube_runs(grid: Grid, tubes):
     lengths = np.array([t.length for t in tubes])
     radii = np.array([t.radius for t in tubes])
     keys = _scan_axes(dirs)
-    _, by_dir = np.unique(dirs, axis=0, return_inverse=True)
-    order = np.lexsort((by_dir.ravel(), *keys.T[:0:-1], -keys[:, 0]))
+    order = np.lexsort((*keys.T[:0:-1], -keys[:, 0]))
     # Rows per tube: about the cell count of the capsule's shadow along its axis.
     width = 2.0 * radii / h + 3.0
     tilt = np.sqrt(np.maximum(1.0 - np.max(dirs * dirs, axis=1), 0.0))

@@ -409,33 +409,17 @@ def segment_point_distances(points: np.ndarray, center: np.ndarray, u: np.ndarra
     """Distances from points (m, n) to the segment center +- (length/2) u.
 
     `center` may also be a stack of centers (..., 1, n) of segments sharing
-    u, giving the distances (..., m) from the points to each segment.
-
-    Or point i may have its own segment: `center` and `u` of shape (m, n)
-    and `length` of shape (m,), with points of shape (..., m, n), so that
-    every leading index holds one point per segment.  Each run of equal
-    consecutive directions then takes one matrix-vector product `rel @ u`
-    per leading index, so every distance is the one that a call per
-    segment gives.  A run of a single point is taken as two equal rows:
-    numpy computes a lone row by its vector dot path, which may round
-    differently.
+    u, giving the distances (..., m) from the points to each segment.  Or
+    point i may have its own segment: `center` and `u` of shape (m, n) and
+    `length` of shape (m,), with points of shape (..., m, n).  Both t = rel . u
+    and the norm of rel - t u are summed one coordinate at a time, elementwise,
+    so each distance has the same bits whatever the batch or BLAS library.
     """
     rel = points - center
-    if u.ndim == 1:
-        t = rel @ u
-    else:
-        t = np.empty(rel.shape[:-1])
-        cuts = (np.flatnonzero(np.any(u[1:] != u[:-1], axis=1)) + 1).tolist()
-        for s, e in zip([0, *cuts], [*cuts, len(u)]):
-            for lead in np.ndindex(rel.shape[:-2]):
-                block = rel[lead][s:e]
-                if len(block) == 1:
-                    block = np.repeat(block, 2, axis=0)
-                if len(block):
-                    t[lead][s:e] = (block @ u[s])[: e - s]
-    np.clip(t, -0.5 * length, 0.5 * length, out=t)
-    # The norm of rel - t u, summed one coordinate at a time in the order
-    # np.linalg.norm sums them, without its slow reduction over short rows.
+    t = 0.0
+    for k in range(rel.shape[-1]):
+        t = t + rel[..., k] * u[..., k]
+    t = np.clip(t, -0.5 * length, 0.5 * length)
     total = 0.0
     for k in range(rel.shape[-1]):
         w = rel[..., k] - t * u[..., k]

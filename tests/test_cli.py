@@ -242,6 +242,45 @@ class TestMain:
         assert capsys.readouterr().err == f"error in scenario dich0: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "scenario, params, message",
+        [
+            (
+                "sharpness",
+                {"configs": [{"n": 2, "d": 1, "beta": 0, "scales": [0.125, 0.0625]}]},
+                "beta in configs must lie in (0, 1], got 0",
+            ),
+            ("sharpness", {"configs": [{"n": 2, "d": 1, "scales": [0.125, 0.0625]}]}, "exactly the keys"),
+            ("dimension", {"families": [{"n": 2, "d": 1, "beta": 1.0}]}, "exactly the keys"),
+            ("dimension", {"families": 3}, "families must be a list of objects"),
+            (
+                "sharpness",
+                {"configs": [{"n": 2, "d": 1, "beta": 1.0, "scales": [0.25, 0.125, 0.0625], "scale": 0.1}]},
+                "exactly the keys ['beta', 'd', 'n', 'scales']",
+            ),
+            (
+                "sharpness",
+                {"configs": [{"n": 2, "d": 1, "beta": 1.0, "scales": 3}]},
+                "needs integers n, d and numbers for beta and scales",
+            ),
+            (
+                "dimension",
+                {"families": [{"n": [2], "d": 1, "beta": 1.0, "delta": 0.0625}]},
+                "needs integers n, d and numbers for beta and delta",
+            ),
+        ],
+        ids=["beta-zero", "no-beta", "no-delta", "not-a-list", "extra-key", "scales-not-a-list", "n-not-an-integer"],
+    )
+    def test_bad_nested_entries_exit_two(self, tmp_path, capsys, scenario, params, message):
+        """A malformed sharpness or dimension entry is one config error line,
+        not a traceback or a run that ignores the entry's typo."""
+        cfg = self._config_file(tmp_path, [{"name": "bad", "scenario": scenario, "seed": 0, "params": params}])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and message in err, err
+        assert not out.exists()
+
     def test_byte_identical_rerun_on_disk(self, tmp_path, capsys):
         cfg = self._config_file(tmp_path, [QUICK_DICHOTOMY, QUICK_KAKEYA])
         main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")])

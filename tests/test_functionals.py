@@ -27,6 +27,7 @@ from tubelab.functionals import (
     rasterize_tube,
     rescale_into_ball,
 )
+from tubelab.generators import gen_lines_in_planes
 from tubelab.linegeom import (
     Direction,
     GeometryError,
@@ -245,8 +246,6 @@ class TestRasterization:
         # grid of 88^3 cells (5.3 MiB as int64): a norm counts its runs in
         # the field and expands no per-tube cell lists, which with their
         # concatenation would take 2 x 11 MiB.
-        from tubelab.generators import gen_lines_in_planes
-
         F = gen_lines_in_planes(3, 2, 1.0, 0.1)
         G = Grid.for_family(F, 4)
         assert len(F) == 640 and G.m == 88
@@ -428,6 +427,37 @@ class TestRunEdges:
         F = family(tubes, delta, n)
         assert set(np.argmax(np.abs(F.direction_matrix()), axis=1).tolist()) == set(range(n))
         assert_rasters_exact(monkeypatch, F, Grid.for_family(F, 4 if n == 3 else 2))
+
+
+class TestBatchIndependence:
+    """A tube's cells do not depend on the other tubes of its batch: the
+    membership test is elementwise, so shuffling the family and giving every
+    tube a batch of its own leaves every count path unchanged."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # Many tubes share each direction.
+            lambda: gen_lines_in_planes(3, 2, 1.0, 0.16),
+            lambda: suite_member("random-n3-d1").family(2.0**-5),
+        ],
+        ids=["planes-n3d2-0.16", "random-n3-d1-2^-5"],
+    )
+    def test_shuffled_one_tube_batches(self, make, monkeypatch):
+        F = make()
+        G = Grid.for_family(F, 4)
+        want = count_paths(monkeypatch, F, G)
+        perm = np.random.default_rng(8).permutation(len(F))
+        shuffled = family([F.tubes[i] for i in perm], F.delta, F.n, F.d, F.beta)
+        monkeypatch.setattr(functionals, "_BATCH_ROWS", (1, 1))
+        got = count_paths(monkeypatch, shuffled, G)
+        for path, raster in want.items():
+            np.testing.assert_array_equal(got[path].occ, raster.occ, err_msg=path)
+            np.testing.assert_array_equal(got[path].counts, raster.counts, err_msg=path)
+            assert got[path].entries == raster.entries, path
+            if raster.tube_cells is not None:
+                for j, i in enumerate(perm):
+                    np.testing.assert_array_equal(got[path].tube_cells[j], raster.tube_cells[i], err_msg=path)
 
 
 class TestLpNorm:

@@ -289,35 +289,61 @@ class TestTube:
 
 class TestSegmentPointDistances:
     @staticmethod
-    def reference(points, center, u, length):
-        """The distances as one call per segment computed them: one
-        matrix-vector product and np.linalg.norm."""
-        rel = points - center
-        t = np.clip(rel @ u, -0.5 * length, 0.5 * length)
-        return np.linalg.norm(rel - t[..., None] * u, axis=-1)
+    def reference(p, c, u, length) -> float:
+        """One distance in scalar Python floats, in the documented order:
+        t = rel . u summed over the coordinates in turn and clipped, then the
+        root of the sum of the squares of rel - t u, coordinate by coordinate."""
+        rel = [float(a) - float(b) for a, b in zip(p, c)]
+        t = 0.0
+        for r, v in zip(rel, u):
+            t = t + r * float(v)
+        half = 0.5 * float(length)
+        t = min(max(t, -half), half)
+        total = 0.0
+        for r, v in zip(rel, u):
+            w = r - t * float(v)
+            total = total + w * w
+        return math.sqrt(total)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_bitwise_equal_to_one_call_per_segment(self, n):
         # The rasterizer's membership test is `<= r + 1e-12` on these values,
-        # so every path must give the same bits, not just close values.
+        # so every form must give the same bits as one point alone, not just
+        # close values.
         rng = np.random.default_rng(70 + n)
-        dirs = random_units(rng, 4, n)
-        u = np.repeat(dirs, [300, 1, 250, 2], axis=0)
+        dirs = random_units(rng, 5, n)
+        # Runs of equal directions and runs of a single point.
+        u = np.repeat(dirs, [30, 1, 25, 2, 1], axis=0)
         m = len(u)
         center, length = rng.normal(size=(m, n)), rng.uniform(0.5, 3.0, m)
         points = rng.normal(size=(3, m, n))
+        ref = self.reference
+        # A segment per point, stacked over a leading axis, with an array
+        # and a scalar length.
         got = segment_point_distances(points, center, u, length)
+        assert got.shape == (3, m)
         for lead in range(3):
             for i in range(m):
-                # Two rows: numpy computes a single row by its dot path.
-                want = self.reference(points[lead, i : i + 1].repeat(2, axis=0), center[i], u[i], length[i])
-                assert got[lead, i] == want[0], (lead, i)
+                assert got[lead, i] == ref(points[lead, i], center[i], u[i], length[i]), (lead, i)
+        got = segment_point_distances(points, center, u, 1.5)
+        for lead in range(3):
+            for i in range(m):
+                assert got[lead, i] == ref(points[lead, i], center[i], u[i], 1.5), (lead, i)
+        # Flat points, one per segment.
         flat = segment_point_distances(points[0], center, u, length)
-        assert np.array_equal(flat, got[0])
-        one = rng.normal(size=(500, n))
-        assert np.array_equal(segment_point_distances(one, center[0], u[0], 1.5), self.reference(one, center[0], u[0], 1.5))
+        assert flat.shape == (m,)
+        assert all(flat[i] == ref(points[0, i], center[i], u[i], length[i]) for i in range(m))
+        # One segment for many points.
+        one = rng.normal(size=(200, n))
+        got = segment_point_distances(one, center[0], u[0], 1.5)
+        assert got.shape == (200,)
+        assert all(got[i] == ref(one[i], center[0], u[0], 1.5) for i in range(200))
+        # Stacked centers of segments sharing u.
         stack = rng.normal(size=(6, 1, n))
-        assert np.array_equal(segment_point_distances(one, stack, u[0], 1.5), self.reference(one, stack, u[0], 1.5))
+        got = segment_point_distances(one, stack, u[0], 1.5)
+        assert got.shape == (6, 200)
+        for j in range(6):
+            assert all(got[j, i] == ref(one[i], stack[j, 0], u[0], 1.5) for i in range(200)), j
 
 
 class TestLineOfTube:
