@@ -9,7 +9,6 @@ estimation, and a CLI experiment runner with golden-value regression.
 
 __version__ = "0.1.0"
 
-from .config import TOL, Tolerances
 from .linegeom import (
     CapCover,
     Direction,
@@ -61,7 +60,6 @@ from .functionals import (
     lp_norm_tube_sum,
     multilinear_kakeya_lhs,
     multilinear_kakeya_rhs,
-    rescale_into_ball,
 )
 from .generators import (
     gen_axes,
@@ -71,8 +69,6 @@ from .generators import (
 )
 
 __all__ = [
-    "TOL",
-    "Tolerances",
     "BallNet",
     "CapCover",
     "DichotomyResult",
@@ -113,7 +109,6 @@ __all__ = [
     "point_in_tube",
     "random_thin",
     "random_thin_trials",
-    "rescale_into_ball",
     "subspace_wedge",
     "unit_ball_volume",
     "verify_option_a",

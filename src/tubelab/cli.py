@@ -125,6 +125,19 @@ def _check_entries(key: str, entries) -> None:
             raise ConfigError(f"beta in {key} must lie in (0, 1], got {e['beta']!r}")
 
 
+def _check_param_type(key: str, value, default) -> None:
+    """A ConfigError unless `value` has the type of its scenario default: an
+    integer for an int, a number for a float, a list of numbers for a list."""
+    if isinstance(default, int):
+        ok, kind = _is_integral(value), "an integer"
+    elif isinstance(default, float):
+        ok, kind = _is_real(value), "a number"
+    else:
+        ok, kind = isinstance(value, list) and all(_is_real(x) for x in value), "a list of numbers"
+    if not ok:
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+
+
 def _grid_factor(grid_h: float) -> int:
     """The integer f with grid_h = 1/f, for f in GRID_FACTORS."""
     f = round(1.0 / grid_h) if grid_h >= 1.0 / (GRID_FACTORS[-1] + 1) else 0
@@ -164,6 +177,8 @@ class ExperimentConfig:
                 f"unknown keys {sorted(unknown)} for scenario {self.scenario!r}; "
                 f"allowed: {sorted(allowed)}"
             )
+        for key in sorted(self.params.keys() - {"members", "grid_factor", *_ENTRY_SCALES}):
+            _check_param_type(key, self.params[key], SCENARIOS[self.scenario].defaults[key])
         if "grid_factor" in self.params:
             factor = self.params["grid_factor"]
             _check_grid_factor(factor, f"grid_factor {factor!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linegeom import Direction, GeometryError, Subspace, complete_orthonormal, tuple_wedges
+from .linegeom import Direction, GeometryError, Subspace, complete_orthonormal, rowdot, tuple_wedges
 
 #: Exhaustive tuple enumeration is used only up to this many tuples.
 EXHAUSTIVE_BUDGET = 10**6
@@ -86,11 +86,12 @@ def _check_tuples(U: DirectionMultiset, k: int) -> None:
 
 def _captures(mat: np.ndarray, bases: np.ndarray, rho: float):
     """#{rows u of mat : |H ^ u| <= rho} for H spanned by the orthonormal rows of `bases`
-    (m, n), or per basis of a stack (P, m, n); bit for bit `subspace_wedge`."""
+    (m, n), or per basis of a stack (P, m, n); bit for bit `subspace_wedge`, whose
+    norm `rowdot` reproduces."""
     B = bases[..., None, :, :]
     proj = np.swapaxes(B, -1, -2) @ (B @ mat[:, :, None])
     r = mat - proj[..., 0]
-    wedge = np.minimum(np.sqrt(r[..., None, :] @ r[..., :, None])[..., 0, 0], 1.0)
+    wedge = np.minimum(np.sqrt(rowdot(r, r)), 1.0)
     return np.count_nonzero(wedge <= rho, axis=-1)
 
 

@@ -39,22 +39,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linegeom import (
-    Direction,
     GeometryError,
     Line,
     Tube,
+    _complete_unit_rows,
     build_cap_cover,
-    complete_orthonormal,
     line_of_tube,
     row_labels,
+    rowdot,
     segment_point_distances,
     sorted_distinct,
     tuple_wedges,
 )
-
-#: Dilation images are comparable to delta/rho-tubes within this factor and
-#: land inside the ball of this radius.
-C_COMP = 4.0
 
 #: Length of the segments of coarse covering tubes.  Unit tubes anywhere in
 #: the unit ball fit inside a length-3 coarse tube on a unit longitudinal
@@ -153,9 +149,9 @@ def _check_tubes(tubes: tuple[Tube, ...], delta: float, n: int, ball_radius: flo
     in the order dimension, radius, center, endpoints, in one stacked pass.
 
     The endpoints are c -+ 0.5 * length * u, as `Tube.endpoints` gives them.
-    A norm is the root of a row's dot product with itself, which a stacked
-    (1, n) @ (n, 1) matmul computes by the vector dot that `np.linalg.norm`
-    of one row uses, so every comparison is the one a check per tube makes.
+    A norm is the root of `rowdot` of a row with itself, the vector dot that
+    `np.linalg.norm` of one row uses, so every comparison is the one a check
+    per tube makes.
     """
     k = next((i for i, t in enumerate(tubes) if t.n != n), len(tubes))
     head = tubes[:k]
@@ -163,7 +159,7 @@ def _check_tubes(tubes: tuple[Tube, ...], delta: float, n: int, ball_radius: flo
         c = np.stack([t.segment_center for t in head])
         half = (0.5 * np.array([t.length for t in head]))[:, None] * np.stack([t.direction.u for t in head])
         pts = np.stack([c, c - half, c + half])
-        outside = np.sqrt((pts[..., None, :] @ pts[..., :, None])[..., 0, 0]) > ball_radius + 1e-9
+        outside = np.sqrt(rowdot(pts, pts)) > ball_radius + 1e-9
         fails = (
             np.abs(np.array([t.radius for t in head]) - delta) > 1e-12,
             outside[0],
@@ -861,7 +857,7 @@ def coarsen_to_rho_tubes(F: TubeFamily, rho: float) -> RhoCoarsening:
     ).reshape(-1, n - 1)
     shifts = np.repeat(np.arange(-1, 2), len(box))
     offsets = np.tile(box, (3, 1))
-    bases: dict[int, np.ndarray] = {}
+    bases = _complete_unit_rows(cover.center_matrix)[:, 1:]
 
     coarse_index: dict[tuple, int] = {}
     coarse_tubes: list[Tube] = []
@@ -871,10 +867,7 @@ def coarsen_to_rho_tubes(F: TubeFamily, rho: float) -> RhoCoarsening:
         got: list[int] = []
         ends = np.stack(tube.endpoints)
         for ci in np.flatnonzero(member[ti]).tolist():
-            w = cover.centers[ci].u
-            Q = bases.get(ci)
-            if Q is None:
-                Q = bases[ci] = complete_orthonormal(w[None], n)[1:]
+            w, Q = cover.centers[ci].u, bases[ci]
             a = shifts + round(float(np.dot(tube.segment_center, w)))
             j = np.round(Q @ tube.segment_center / trans).astype(np.int64) + offsets
             # Row by row this is a * w + Q.T @ (j * trans): the stacked
@@ -901,78 +894,6 @@ def coarsen_to_rho_tubes(F: TubeFamily, rho: float) -> RhoCoarsening:
         assignment.append(tuple(sorted(got)))
 
     return RhoCoarsening(float(rho), tuple(coarse_tubes), tuple(assignment))
-
-
-# ---------------------------------------------------------------------------
-# rescaling a coarse tube to unit scale
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AffineRescaling:
-    """x -> D R (x - c): rotate the coarse axis to e1, dilate transversally by 1/rho."""
-
-    rotation: np.ndarray  # rows: orthonormal, first row = coarse direction
-    center: np.ndarray
-    rho: float
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        y = self.rotation @ (np.asarray(x, dtype=float) - self.center)
-        y[1:] /= self.rho
-        return y
-
-    def inverse(self, y: np.ndarray) -> np.ndarray:
-        z = np.array(y, dtype=float)
-        z[1:] *= self.rho
-        return self.center + self.rotation.T @ z
-
-    def map_tube(self, T: Tube, new_radius: float) -> Tube:
-        e0, e1 = T.endpoints
-        f0, f1 = self.forward(e0), self.forward(e1)
-        seg = f1 - f0
-        length = float(np.linalg.norm(seg))
-        return Tube((f0 + f1) / 2.0, Direction(seg), new_radius, length)
-
-    def unmap_tube(self, T: Tube) -> Tube:
-        e0, e1 = T.endpoints
-        g0, g1 = self.inverse(e0), self.inverse(e1)
-        seg = g1 - g0
-        return Tube((g0 + g1) / 2.0, Direction(seg), T.radius * self.rho, float(np.linalg.norm(seg)))
-
-
-@dataclass(frozen=True)
-class RescaledFamily:
-    family: TubeFamily
-    transform: AffineRescaling
-
-
-def rescale_into_ball(F_sub: TubeFamily, T_rho: Tube) -> RescaledFamily:
-    """Map the tubes inside one coarse tube to a family at scale delta/rho.
-
-    The affine map sends the coaxial line of T_rho to the e1-axis and
-    dilates the transverse directions by 1/rho.  Every image is re-fit to a
-    tube of radius delta/rho (the transverse dilation dominates), and the
-    whole image family lands inside B(0, C_COMP).
-    """
-    rho = T_rho.radius
-    delta = F_sub.delta
-    for i, t in enumerate(F_sub.tubes):
-        d = segment_point_distances(np.stack(t.endpoints), T_rho.segment_center, T_rho.direction.u, T_rho.length)
-        if float(d.max()) > rho - delta + 2.0 * delta + 1e-9:
-            raise GeometryError(
-                f"tube {i} is not contained in the coarse tube "
-                f"(max endpoint distance {float(d.max()):.4g} > rho + delta)"
-            )
-    rot = complete_orthonormal(T_rho.direction.u[None], F_sub.n)
-    A = AffineRescaling(rot, T_rho.segment_center.copy(), float(rho))
-    new_radius = delta / rho
-    images = [A.map_tube(t, new_radius) for t in F_sub.tubes]
-    for i, t in enumerate(images):
-        for e in t.endpoints:
-            if float(np.linalg.norm(e)) + new_radius > C_COMP + 1e-9:
-                raise GeometryError(f"rescaled tube {i} leaves B(0, {C_COMP})")
-    fam = TubeFamily(images, new_radius, F_sub.n, F_sub.d, F_sub.beta, ball_radius=C_COMP)
-    return RescaledFamily(fam, A)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TOL
+# Construction tolerances: |u| - 1 below UNIT_NORM leaves a Direction
+# undivided; |x . u| of a Line's foot point stays below FOOT_ORTHOGONALITY;
+# a Subspace basis has Gram matrix within GRAM_IDENTITY of the identity; a
+# coordinate above SIGN_THRESHOLD in magnitude fixes a direction's sign.
+UNIT_NORM = 1e-12
+FOOT_ORTHOGONALITY = 1e-10
+GRAM_IDENTITY = 1e-10
+SIGN_THRESHOLD = 1e-9
 
 
 class GeometryError(ValueError):
@@ -35,7 +42,7 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 def canonical_sign(u: np.ndarray) -> np.ndarray:
     """Flip the sign of u so its first significantly-nonzero coordinate is positive."""
     for x in u:
-        if abs(x) > TOL.sign_threshold:
+        if abs(x) > SIGN_THRESHOLD:
             return -u if x < 0 else u
     return u
 
@@ -55,7 +62,7 @@ class Direction:
             raise GeometryError("cannot normalize a zero vector")
         # Skip the division when the input is already unit, so constructing
         # from a stored canonical vector reproduces it bit for bit.
-        if abs(norm - 1.0) > TOL.unit_norm:
+        if abs(norm - 1.0) > UNIT_NORM:
             v = v / norm
         v = canonical_sign(v)
         object.__setattr__(self, "u", _as_readonly(v))
@@ -88,7 +95,7 @@ class Line:
         # first-order residual so |x . u| stays below the tolerance.
         p = p - np.dot(p, u.u) * u.u
         p = p - np.dot(p, u.u) * u.u
-        if abs(float(np.dot(p, u.u))) > TOL.foot_orthogonality:
+        if abs(float(np.dot(p, u.u))) > FOOT_ORTHOGONALITY:
             raise GeometryError("foot point is not orthogonal to the direction")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "x", _as_readonly(p))
@@ -126,7 +133,7 @@ class Subspace:
         if not 1 <= k < n:
             raise GeometryError(f"subspace dimension must satisfy 1 <= k < n, got k={k}, n={n}")
         gram = b @ b.T
-        if not np.allclose(gram, np.eye(k), atol=TOL.gram_identity):
+        if not np.allclose(gram, np.eye(k), atol=GRAM_IDENTITY):
             raise GeometryError("basis is not orthonormal")
         object.__setattr__(self, "basis", _as_readonly(b))
 
@@ -337,13 +344,24 @@ def complete_orthonormal(rows, n: int) -> np.ndarray:
     return np.stack(basis)
 
 
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot products of the rows of a and b (..., n), broadcast over the
+    leading axes, each bit for bit `np.dot` of its two rows.
+
+    Each product is a stacked (1, n) @ (n, 1) `matmul`, which numpy takes
+    through the same vector dot as `np.dot` of two 1-D arrays; an `einsum`
+    or a `sum` over the last axis can differ in the last bit.  Batched code
+    that must reproduce a per-row `np.dot` or `np.linalg.norm` uses this.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _complete_unit_rows(rows: np.ndarray) -> np.ndarray:
     """`complete_orthonormal(row[None], n)` for every row at once, shape (N, n, n).
 
-    Performs the same operations in the same order, so each basis is bit for
-    bit the one of `complete_orthonormal`: dot products and norms are stacked
-    `matmul` calls, which take each row's product in the same way as
-    `np.dot` (an `einsum` or a `sum` over an axis can differ in the last bit).
+    Performs the same operations in the same order, with every dot product
+    and norm taken by `rowdot`, so each basis is bit for bit the one of
+    `complete_orthonormal`.
     """
     N, n = rows.shape
     basis = np.zeros((N, n, n))
@@ -359,8 +377,8 @@ def _complete_unit_rows(rows: np.ndarray) -> np.ndarray:
         for s in range(int(held.max())):
             m = np.flatnonzero(held > s)
             sub, r = e[m], basis[active[m], s]
-            e[m] = sub - (sub[:, None, :] @ r[:, :, None])[:, 0] * r
-        norm = np.sqrt((e[:, None, :] @ e[:, :, None])[:, 0, 0])
+            e[m] = sub - rowdot(sub, r)[:, None] * r
+        norm = np.sqrt(rowdot(e, e))
         keep = norm > 1e-8
         grow = active[keep]
         basis[grow, count[grow]] = e[keep] / norm[keep, None]

@@ -281,6 +281,27 @@ class TestMain:
         assert err.startswith("config error: ") and err.count("\n") == 1 and message in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "scenario, params, message",
+        [
+            ("kakeya", {"deltas": 3}, "deltas must be a list of numbers, got 3"),
+            ("dichotomy", {"rhos": 3}, "rhos must be a list of numbers, got 3"),
+            ("dichotomy", {"trials": 2.5}, "trials must be an integer, got 2.5"),
+            ("thin", {"n_lines": 8.7}, "n_lines must be an integer, got 8.7"),
+            ("induction", {"rho": "x"}, "rho must be a number, got 'x'"),
+        ],
+        ids=["deltas-not-a-list", "rhos-not-a-list", "fractional-trials", "fractional-n-lines", "rho-not-a-number"],
+    )
+    def test_param_of_wrong_type_exits_two(self, tmp_path, capsys, scenario, params, message):
+        """A param whose type is not its default's is one config error line
+        when the config loads, not a traceback, a truncated count or a
+        failure halfway through a run."""
+        cfg = self._config_file(tmp_path, [{"name": "bad", "scenario": scenario, "seed": 0, "params": params}])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_byte_identical_rerun_on_disk(self, tmp_path, capsys):
         cfg = self._config_file(tmp_path, [QUICK_DICHOTOMY, QUICK_KAKEYA])
         main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")])

@@ -1,4 +1,4 @@
-"""Grid functionals: norms, multilinear sums, decompositions, rescaling."""
+"""Grid functionals: norms, multilinear sums, decompositions, coarsening."""
 
 import itertools
 import math
@@ -10,7 +10,6 @@ import pytest
 from tubelab import functionals
 from tubelab.functionals import (
     COARSE_LENGTH,
-    C_COMP,
     FamilyRaster,
     Grid,
     TubeFamily,
@@ -25,7 +24,6 @@ from tubelab.functionals import (
     multilinear_kakeya_lhs,
     multilinear_kakeya_rhs,
     rasterize_tube,
-    rescale_into_ball,
 )
 from tubelab.generators import gen_lines_in_planes
 from tubelab.linegeom import (
@@ -913,81 +911,6 @@ class TestCoarseningAgainstScalarLoop:
         monkeypatch.setattr(functionals, "coarse_overlap_bound", lambda n: sizes[0])
         with pytest.raises(GeometryError, match=rf"fine tube 1 assigned to {sizes[1]} coarse tubes, bound is {sizes[0]}"):
             coarsen_to_rho_tubes(F, 0.25)
-
-
-class TestRescaling:
-    def _coarse_tube(self, n, rho):
-        u = np.zeros(n)
-        u[0] = 1.0
-        from tubelab.functionals import COARSE_LENGTH
-
-        return Tube(np.zeros(n), Direction(u), rho, COARSE_LENGTH)
-
-    def test_coaxial_tube_radius_exact(self):
-        delta, rho = 2.0**-5, 0.25
-        T_rho = self._coarse_tube(2, rho)
-        F = family([Tube([0.0, 0.0], Direction([1.0, 0.0]), delta)], delta, 2)
-        rs = rescale_into_ball(F, T_rho)
-        assert rs.family.delta == pytest.approx(delta / rho, abs=1e-15)
-        assert rs.family.ball_radius == C_COMP
-
-    def test_coarse_tube_maps_to_unit_comparable(self):
-        rho = 0.25
-        T_rho = self._coarse_tube(3, rho)
-        img = rs = rescale_into_ball(
-            family([Tube([0.0, 0.0, 0.0], Direction([1.0, 0.0, 0.0]), rho / 4)], rho / 4, 3),
-            T_rho,
-        )
-        t = rs.family.tubes[0]
-        np.testing.assert_allclose(np.abs(t.direction.u), [1.0, 0.0, 0.0], atol=1e-12)
-
-    def test_tilted_tube_direction_and_radius(self):
-        # A fine tube at angle rho/2 to the coarse axis: after the 1/rho
-        # transverse dilation the image direction satisfies
-        # tan(angle') = tan(rho/2)/rho, about 1/2 for small rho, and the
-        # re-fit radius stays within 2 delta/rho.
-        delta, rho = 2.0**-6, 2.0**-3
-        ang = rho / 2
-        u = np.array([math.cos(ang), math.sin(ang)])
-        F = family([Tube([0.0, 0.0], Direction(u), delta)], delta, 2)
-        rs = rescale_into_ball(F, self._coarse_tube(2, rho))
-        t = rs.family.tubes[0]
-        img_angle = math.atan2(abs(t.direction.u[1]), abs(t.direction.u[0]))
-        expected = math.atan(math.tan(ang) / rho)
-        assert img_angle == pytest.approx(expected, rel=1e-6)
-        assert abs(expected - 0.5) < 0.05
-        assert t.radius <= 2 * delta / rho
-
-    def test_round_trip_recovers_originals(self):
-        rng = np.random.default_rng(19)
-        delta, rho = 2.0**-5, 0.25
-        T_rho = self._coarse_tube(2, rho)
-        tubes = []
-        while len(tubes) < 6:
-            u = rng.normal(size=2)
-            u /= np.linalg.norm(u) * np.sign(u[0])
-            if abs(math.atan2(u[1], u[0])) > rho / 4:
-                continue
-            c = np.array([rng.uniform(-0.4, 0.4), rng.uniform(-rho / 3, rho / 3)])
-            t = Tube(c, Direction(u), delta)
-            d = segment_point_distances(np.stack(t.endpoints), T_rho.segment_center,
-                                        T_rho.direction.u, T_rho.length)
-            if float(d.max()) <= rho - delta:
-                tubes.append(t)
-        F = family(tubes, delta, 2)
-        rs = rescale_into_ball(F, T_rho)
-        for orig, img in zip(F.tubes, rs.family.tubes):
-            back = rs.transform.unmap_tube(img)
-            assert np.linalg.norm(back.segment_center - orig.segment_center) <= 2 * delta
-            assert abs(back.radius - orig.radius) <= 1e-12
-            assert abs(back.length - orig.length) <= 1e-9
-
-    def test_outside_tube_rejected_with_offender(self):
-        delta, rho = 2.0**-5, 0.25
-        T_rho = self._coarse_tube(2, rho)
-        F = family([Tube([0.0, 0.45], Direction([1.0, 0.0]), delta)], delta, 2)
-        with pytest.raises(GeometryError, match="tube 0"):
-            rescale_into_ball(F, T_rho)
 
 
 class TestCalculationChain:

@@ -22,6 +22,7 @@ from tubelab.linegeom import (
     line_metric,
     line_of_tube,
     point_in_tube,
+    rowdot,
     segment_point_distances,
     subspace_wedge,
     tuple_wedges,
@@ -218,6 +219,34 @@ class TestCompleteOrthonormal:
     def test_axis_rows_complete_with_remaining_axes(self):
         B = complete_orthonormal(np.eye(3)[1:2], 3)
         np.testing.assert_array_equal(B, np.eye(3)[[1, 0, 2]])
+
+
+class TestRowdot:
+    @staticmethod
+    def _dot_per_row(a, b):
+        a, b = np.broadcast_arrays(a, b)
+        out = np.empty(a.shape[:-1])
+        for i in np.ndindex(out.shape):
+            out[i] = np.dot(a[i], b[i])
+        return out
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_bitwise_equal_to_dot_per_row(self, n):
+        """Each product is `np.dot` of its two rows in every shape the callers
+        use: rows, a stack of rows, and a stack of (m, n) blocks against one
+        (m, n) block; a row with itself gives the squared norm."""
+        rng = np.random.default_rng(n)
+        N, m, P = 200, 7, 5
+        cases = [
+            (rng.normal(size=(N, n)), rng.normal(size=(N, n))),
+            (rng.normal(size=(3, N, n)), rng.normal(size=(3, N, n))),
+            (rng.normal(size=(P, m, n)), rng.normal(size=(m, n))),
+        ]
+        for a, b in cases + [(a, a) for a, _ in cases]:
+            want = self._dot_per_row(a, b)
+            got = rowdot(a, b)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 class TestSubspaceWedge:
