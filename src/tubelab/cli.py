@@ -94,48 +94,27 @@ def _check_grid_factor(factor, source: str) -> int:
     return int(factor)
 
 
-#: The scale key of each entry of the nested list params: sharpness
-#: `configs` fit over a list of scales, dimension `families` run at one delta.
-_ENTRY_SCALES = {"configs": "scales", "families": "delta"}
-
-
-def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def _check_entries(key: str, entries) -> None:
-    """A ConfigError unless `entries` is a list of objects with exactly the
-    keys n, d, beta and the scale key of `key`, holding integers n, d and
-    numbers, with beta in (0, 1] (the rule of `cantor_offsets`, checked
-    before p = p'/(p'-1) divides by d + beta - 1)."""
-    scale = _ENTRY_SCALES[key]
-    want = sorted({"n", "d", "beta", scale})
-    if not isinstance(entries, list):
-        raise ConfigError(f"{key} must be a list of objects with keys {want}, got {entries!r}")
-    for e in entries:
-        if not isinstance(e, dict) or sorted(e) != want:
-            raise ConfigError(f"each entry of {key} must be an object with exactly the keys {want}, got {e!r}")
-        scales = e["scales"] if scale == "scales" else [e["delta"]]
-        if not (
-            _is_integral(e["n"]) and _is_integral(e["d"]) and _is_real(e["beta"])
-            and isinstance(scales, list) and all(_is_real(x) for x in scales)
-        ):
-            raise ConfigError(f"each entry of {key} needs integers n, d and numbers for beta and {scale}, got {e!r}")
-        if not 0.0 < e["beta"] <= 1.0:
-            raise ConfigError(f"beta in {key} must lie in (0, 1], got {e['beta']!r}")
-
-
-def _check_param_type(key: str, value, default) -> None:
-    """A ConfigError unless `value` has the type of its scenario default: an
-    integer for an int, a number for a float, a list of numbers for a list."""
-    if isinstance(default, int):
-        ok, kind = _is_integral(value), "an integer"
-    elif isinstance(default, float):
-        ok, kind = _is_real(value), "a number"
-    else:
-        ok, kind = isinstance(value, list) and all(_is_real(x) for x in value), "a list of numbers"
-    if not ok:
-        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+def _check_param(key: str, value, default) -> None:
+    """A ConfigError naming the key path `key` unless `value` has the shape of
+    its scenario default: an integer >= 1 for an int (`2.0` counts), a number
+    > 0 for a float, a non-empty list of items shaped like `default[0]` for a
+    list, and an object with exactly the keys of a dict, each value shaped
+    like the default's.  A bool is neither an integer nor a number here."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict) or value.keys() != default.keys():
+            raise ConfigError(f"{key} must be an object with exactly the keys {sorted(default)}, got {value!r}")
+        for k in default:
+            _check_param(f"{key}.{k}", value[k], default[k])
+    elif isinstance(default, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{key} must be a non-empty list, got {value!r}")
+        for i, item in enumerate(value):
+            _check_param(f"{key}[{i}]", item, default[0])
+    elif isinstance(default, int):
+        if not _is_integral(value) or value < 1:
+            raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
+        raise ConfigError(f"{key} must be a number > 0, got {value!r}")
 
 
 def _grid_factor(grid_h: float) -> int:
@@ -162,6 +141,11 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # Each report is written to <out>/<name>.json.
+        if self.name in ("", ".", "..") or "/" in self.name or os.sep in self.name:
+            raise ConfigError(
+                f"name must be a file name, not empty, '.', '..' or holding a path separator, got {self.name!r}"
+            )
         # The one seed check for configs and `--seed`: numpy rejects negative seeds.
         if not _is_integral(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
@@ -177,13 +161,11 @@ class ExperimentConfig:
                 f"unknown keys {sorted(unknown)} for scenario {self.scenario!r}; "
                 f"allowed: {sorted(allowed)}"
             )
-        for key in sorted(self.params.keys() - {"members", "grid_factor", *_ENTRY_SCALES}):
-            _check_param_type(key, self.params[key], SCENARIOS[self.scenario].defaults[key])
+        for key in sorted(self.params.keys() - {"members", "grid_factor"}):
+            _check_param(key, self.params[key], SCENARIOS[self.scenario].defaults[key])
         if "grid_factor" in self.params:
             factor = self.params["grid_factor"]
             _check_grid_factor(factor, f"grid_factor {factor!r}")
-        for key in _ENTRY_SCALES.keys() & self.params.keys():
-            _check_entries(key, self.params[key])
         members = self.params.get("members", "all")
         if members != "all":
             known = [m.name for m in standard_suite()]
@@ -266,11 +248,6 @@ def _check(name: str, passed: bool, value, bound) -> dict:
 
 
 def _run_dichotomy(params: dict, seed: int):
-    for name in ("trials", "max_directions"):
-        if int(params[name]) < 1:
-            raise ValueError(f"{name} must be >= 1, got {params[name]!r}")
-    if not params["rhos"]:
-        raise ValueError(f"rhos must be a non-empty list, got {params['rhos']!r}")
     trials = int(params["trials"])
     rhos = [float(r) for r in params["rhos"]]
     max_n = int(params["max_directions"])
@@ -375,9 +352,6 @@ def _parallel_line_set(n_lines: int, delta: float) -> list[Line]:
 
 
 def _run_thin(params: dict, seed: int):
-    for name in ("n_lines", "seeds", "binomial_trials"):
-        if int(params[name]) < 1:
-            raise ValueError(f"{name} must be >= 1, got {params[name]!r}")
     n_lines = int(params["n_lines"])
     delta = float(params["delta"])
     n_seeds = int(params["seeds"])
@@ -679,7 +653,12 @@ def _load_config_file(path: Path) -> list[ExperimentConfig]:
     scenarios = data.get("scenarios")
     if not isinstance(scenarios, list) or not scenarios:
         raise ConfigError("config must list at least one scenario")
-    return [ExperimentConfig.from_dict(s) for s in scenarios]
+    configs = [ExperimentConfig.from_dict(s) for s in scenarios]
+    names = [c.name for c in configs]
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ConfigError(f"scenario names must be unique, as each names its report; repeated: {repeated}")
+    return configs
 
 
 def _write_report(rep: ExperimentReport, out_dir: Path) -> Path:

@@ -1,7 +1,9 @@
 """CLI: configs, reports, determinism, golden regression, exit codes."""
 
 import json
+import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,8 @@ QUICK_KAKEYA = {
     "seed": 0,
     "params": {"deltas": [0.0625], "members": ["axes-n2-k2", "bush-n2"]},
 }
+
+NAME_RULE = "name must be a file name, not empty, '.', '..' or holding a path separator, got "
 
 
 class TestConfig:
@@ -70,6 +74,17 @@ class TestConfig:
         resolved = cfg.resolved_params()
         assert resolved["trials"] == 5
         assert resolved["rhos"] == [0.05, 0.1, 0.3]
+
+    def test_params_of_default_shape_accepted(self):
+        """An integral float counts as an integer and an int as a number."""
+        ExperimentConfig("x", "dichotomy", params={"trials": 2.0, "rhos": [1], "max_directions": 3})
+        ExperimentConfig("x", "dimension", params={"families": [{"n": 2.0, "d": 1, "beta": 1, "delta": 0.0625}]})
+
+    @pytest.mark.parametrize("name", ["quick.json", "standard.json"])
+    def test_shipped_configs_load(self, name):
+        path = Path(__file__).resolve().parents[1] / "configs" / name
+        configs = cli._load_config_file(path)
+        assert [c.name for c in configs] == [s["name"] for s in json.loads(path.read_text())["scenarios"]]
 
 
 class TestReports:
@@ -182,64 +197,65 @@ class TestMain:
 
     @pytest.mark.parametrize("parallel", [[], ["--parallel"]])
     def test_scenario_error_exits_two_with_one_line(self, tmp_path, capsys, parallel):
-        thin = {"name": "thin0", "scenario": "thin", "seed": 0, "params": {"n_lines": 0}}
+        thin = {"name": "thin0", "scenario": "thin", "seed": 0, "params": {"delta": 0.75}}
         cfg = self._config_file(tmp_path, [QUICK_DICHOTOMY, thin])
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), *parallel]) == 2
         err = capsys.readouterr().err
-        assert err == "error in scenario thin0: n_lines must be >= 1, got 0\n"
+        assert err == "error in scenario thin0: ball-net scale must lie in (0, 1/2], got 0.75\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("param", ["n_lines", "seeds", "binomial_trials"])
     def test_thin_counts_below_one_exit_two(self, tmp_path, capsys, param):
-        """A thin count of 0 is named in one error line, not a ZeroDivisionError."""
+        """A thin count of 0 is named in one config error line, not a ZeroDivisionError."""
         thin = {"name": "thin0", "scenario": "thin", "seed": 0, "params": {param: 0}}
         cfg = self._config_file(tmp_path, [thin])
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error in scenario thin0: {param} must be >= 1, got 0\n"
+        assert capsys.readouterr().err == f"config error: {param} must be an integer >= 1, got 0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "scenario, params, message",
         [
-            ("thin", {"delta": 0}, "ball-net scale must lie in (0, 1/2], got 0.0"),
-            ("dimension", {"cantor_delta": 0}, "Cantor scale must lie in (0, 1/2], got 0.0"),
+            ("thin", {"delta": 0}, "delta must be a number > 0, got 0"),
+            ("dimension", {"cantor_delta": 0}, "cantor_delta must be a number > 0, got 0"),
             (
                 "dimension",
                 {"families": [{"n": 2, "d": 1, "beta": 1.0, "delta": 0}]},
-                "Cantor scale must lie in (0, 1/2], got 0.0",
+                "families[0].delta must be a number > 0, got 0",
             ),
             (
                 "sharpness",
                 {"configs": [{"n": 2, "d": 1, "beta": 1.0, "scales": [0, 0.125, 0.0625]}]},
-                "Cantor scale must lie in (0, 1/2], got 0.0",
+                "configs[0].scales[0] must be a number > 0, got 0",
             ),
         ],
+        ids=["thin-delta", "cantor-delta", "families-delta", "sharpness-scales"],
     )
     def test_zero_scale_exits_two(self, tmp_path, capsys, scenario, params, message):
-        """A scale of 0 is named in one error line, not a hang or a ZeroDivisionError."""
+        """A scale of 0 is named in one config error line, not a hang or a ZeroDivisionError."""
         cfg = self._config_file(tmp_path, [{"name": "zero", "scenario": scenario, "seed": 0, "params": params}])
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error in scenario zero: {message}\n"
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "params, message",
         [
-            ({"trials": 0}, "trials must be >= 1, got 0"),
-            ({"max_directions": 0}, "max_directions must be >= 1, got 0"),
+            ({"trials": 0}, "trials must be an integer >= 1, got 0"),
+            ({"max_directions": 0}, "max_directions must be an integer >= 1, got 0"),
             ({"rhos": []}, "rhos must be a non-empty list, got []"),
         ],
     )
     def test_dichotomy_empty_inputs_exit_two(self, tmp_path, capsys, params, message):
-        """No trials, directions or rhos is named in one error line, not passed vacuously."""
+        """No trials, directions or rhos is named in one config error line, not passed vacuously."""
         dich = {"name": "dich0", "scenario": "dichotomy", "seed": 0, "params": params}
         cfg = self._config_file(tmp_path, [dich])
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error in scenario dich0: {message}\n"
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -248,55 +264,109 @@ class TestMain:
             (
                 "sharpness",
                 {"configs": [{"n": 2, "d": 1, "beta": 0, "scales": [0.125, 0.0625]}]},
-                "beta in configs must lie in (0, 1], got 0",
+                "configs[0].beta must be a number > 0, got 0",
             ),
-            ("sharpness", {"configs": [{"n": 2, "d": 1, "scales": [0.125, 0.0625]}]}, "exactly the keys"),
-            ("dimension", {"families": [{"n": 2, "d": 1, "beta": 1.0}]}, "exactly the keys"),
-            ("dimension", {"families": 3}, "families must be a list of objects"),
+            (
+                "sharpness",
+                {"configs": [{"n": 2, "d": 1, "scales": [0.125, 0.0625]}]},
+                "configs[0] must be an object with exactly the keys ['beta', 'd', 'n', 'scales'], "
+                "got {'n': 2, 'd': 1, 'scales': [0.125, 0.0625]}",
+            ),
+            (
+                "dimension",
+                {"families": [{"n": 2, "d": 1, "beta": 1.0}]},
+                "families[0] must be an object with exactly the keys ['beta', 'd', 'delta', 'n'], "
+                "got {'n': 2, 'd': 1, 'beta': 1.0}",
+            ),
+            ("dimension", {"families": 3}, "families must be a non-empty list, got 3"),
             (
                 "sharpness",
                 {"configs": [{"n": 2, "d": 1, "beta": 1.0, "scales": [0.25, 0.125, 0.0625], "scale": 0.1}]},
-                "exactly the keys ['beta', 'd', 'n', 'scales']",
+                "configs[0] must be an object with exactly the keys ['beta', 'd', 'n', 'scales'], "
+                "got {'n': 2, 'd': 1, 'beta': 1.0, 'scales': [0.25, 0.125, 0.0625], 'scale': 0.1}",
             ),
             (
                 "sharpness",
                 {"configs": [{"n": 2, "d": 1, "beta": 1.0, "scales": 3}]},
-                "needs integers n, d and numbers for beta and scales",
+                "configs[0].scales must be a non-empty list, got 3",
             ),
             (
                 "dimension",
                 {"families": [{"n": [2], "d": 1, "beta": 1.0, "delta": 0.0625}]},
-                "needs integers n, d and numbers for beta and delta",
+                "families[0].n must be an integer >= 1, got [2]",
             ),
         ],
         ids=["beta-zero", "no-beta", "no-delta", "not-a-list", "extra-key", "scales-not-a-list", "n-not-an-integer"],
     )
     def test_bad_nested_entries_exit_two(self, tmp_path, capsys, scenario, params, message):
-        """A malformed sharpness or dimension entry is one config error line,
-        not a traceback or a run that ignores the entry's typo."""
+        """A malformed sharpness or dimension entry is one config error line
+        naming its key path, not a traceback or a run that ignores the
+        entry's typo."""
         cfg = self._config_file(tmp_path, [{"name": "bad", "scenario": scenario, "seed": 0, "params": params}])
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1 and message in err, err
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "scenario, params, message",
         [
-            ("kakeya", {"deltas": 3}, "deltas must be a list of numbers, got 3"),
-            ("dichotomy", {"rhos": 3}, "rhos must be a list of numbers, got 3"),
-            ("dichotomy", {"trials": 2.5}, "trials must be an integer, got 2.5"),
-            ("thin", {"n_lines": 8.7}, "n_lines must be an integer, got 8.7"),
-            ("induction", {"rho": "x"}, "rho must be a number, got 'x'"),
+            ("kakeya", {"deltas": 3}, "deltas must be a non-empty list, got 3"),
+            ("dichotomy", {"rhos": 3}, "rhos must be a non-empty list, got 3"),
+            ("dichotomy", {"trials": 2.5}, "trials must be an integer >= 1, got 2.5"),
+            ("thin", {"n_lines": 8.7}, "n_lines must be an integer >= 1, got 8.7"),
+            ("induction", {"rho": "x"}, "rho must be a number > 0, got 'x'"),
+            ("kakeya", {"deltas": [], "members": ["bush-n2"]}, "deltas must be a non-empty list, got []"),
+            ("sharpness", {"configs": []}, "configs must be a non-empty list, got []"),
+            ("decompose", {"deltas": []}, "deltas must be a non-empty list, got []"),
+            ("dimension", {"families": []}, "families must be a non-empty list, got []"),
+            ("dichotomy", {"trials": True}, "trials must be an integer >= 1, got True"),
+            (
+                "dimension",
+                {"families": [{"n": 2, "d": 1, "beta": True, "delta": 0.0625}]},
+                "families[0].beta must be a number > 0, got True",
+            ),
+            ("thin", {"delta": math.nan}, "delta must be a number > 0, got nan"),
+            (
+                "sharpness",
+                {"configs": [{"n": 2, "d": 1, "beta": 1.0, "scales": [0.125, math.nan]}]},
+                "configs[0].scales[1] must be a number > 0, got nan",
+            ),
+            ("decompose", {"rho": -0.25}, "rho must be a number > 0, got -0.25"),
         ],
-        ids=["deltas-not-a-list", "rhos-not-a-list", "fractional-trials", "fractional-n-lines", "rho-not-a-number"],
+        ids=[
+            "deltas-not-a-list", "rhos-not-a-list", "fractional-trials", "fractional-n-lines", "rho-not-a-number",
+            "empty-kakeya-deltas", "empty-configs", "empty-decompose-deltas", "empty-families", "bool-trials",
+            "bool-beta", "nan-delta", "nan-scale", "negative-rho",
+        ],
     )
     def test_param_of_wrong_type_exits_two(self, tmp_path, capsys, scenario, params, message):
-        """A param whose type is not its default's is one config error line
-        when the config loads, not a traceback, a truncated count or a
-        failure halfway through a run."""
+        """A param not of its default's shape (an integer >= 1, a number > 0,
+        a non-empty list, an object with the default's keys) is one config
+        error line when the config loads, not a traceback, a truncated count,
+        a vacuous pass or a failure halfway through a run."""
         cfg = self._config_file(tmp_path, [{"name": "bad", "scenario": scenario, "seed": 0, "params": params}])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            ([""], f"{NAME_RULE}''"),
+            (["."], f"{NAME_RULE}'.'"),
+            ([".."], f"{NAME_RULE}'..'"),
+            (["a/b"], f"{NAME_RULE}'a/b'"),
+            (["../x"], f"{NAME_RULE}'../x'"),
+            (["same", "dich", "same"], "scenario names must be unique, as each names its report; repeated: ['same']"),
+        ],
+        ids=["empty", "dot", "dot-dot", "separator", "parent-dir", "duplicate"],
+    )
+    def test_bad_report_names_exit_two(self, tmp_path, capsys, names, message):
+        """A name that is not one file name, or that two scenarios share, is one
+        config error line when the config loads, before any scenario runs."""
+        cfg = self._config_file(tmp_path, [dict(QUICK_DICHOTOMY, name=n) for n in names])
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
