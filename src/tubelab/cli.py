@@ -94,27 +94,37 @@ def _check_grid_factor(factor, source: str) -> int:
     return int(factor)
 
 
-def _check_param(key: str, value, default) -> None:
+def _check_param(key: str, value, default, sc: Scenario) -> None:
     """A ConfigError naming the key path `key` unless `value` has the shape of
     its scenario default: an integer >= 1 for an int (`2.0` counts), a number
     > 0 for a float, a non-empty list of items shaped like `default[0]` for a
     list, and an object with exactly the keys of a dict, each value shaped
-    like the default's.  A bool is neither an integer nor a number here."""
+    like the default's.  A bool is neither an integer nor a number here.
+    A list or number whose name (at any depth; a list's items go by the
+    list's name) is in the scenario's `fewest` or `most` must also hold that
+    many entries, or be at most that value."""
+    name = key.rsplit(".", 1)[-1].split("[")[0]
     if isinstance(default, dict):
         if not isinstance(value, dict) or value.keys() != default.keys():
             raise ConfigError(f"{key} must be an object with exactly the keys {sorted(default)}, got {value!r}")
         for k in default:
-            _check_param(f"{key}.{k}", value[k], default[k])
+            _check_param(f"{key}.{k}", value[k], default[k], sc)
     elif isinstance(default, list):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{key} must be a non-empty list, got {value!r}")
         for i, item in enumerate(value):
-            _check_param(f"{key}[{i}]", item, default[0])
+            _check_param(f"{key}[{i}]", item, default[0], sc)
+        count, why = sc.fewest.get(name, (1, ""))
+        if len(value) < count:
+            raise ConfigError(f"{key} must hold at least {count} entries ({why}), got {value!r}")
     elif isinstance(default, int):
         if not _is_integral(value) or value < 1:
             raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
     elif isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
         raise ConfigError(f"{key} must be a number > 0, got {value!r}")
+    elif name in sc.most and value > sc.most[name][0]:
+        bound, why = sc.most[name]
+        raise ConfigError(f"{key} must be at most {bound!r} ({why}), got {value!r}")
 
 
 def _grid_factor(grid_h: float) -> int:
@@ -161,8 +171,9 @@ class ExperimentConfig:
                 f"unknown keys {sorted(unknown)} for scenario {self.scenario!r}; "
                 f"allowed: {sorted(allowed)}"
             )
+        sc = SCENARIOS[self.scenario]
         for key in sorted(self.params.keys() - {"members", "grid_factor"}):
-            _check_param(key, self.params[key], SCENARIOS[self.scenario].defaults[key])
+            _check_param(key, self.params[key], sc.defaults[key], sc)
         if "grid_factor" in self.params:
             factor = self.params["grid_factor"]
             _check_grid_factor(factor, f"grid_factor {factor!r}")
@@ -485,6 +496,14 @@ class Scenario:
     runner: object
     description: str
     defaults: dict
+    #: Ranges past the shape rule, by param name, each with its reason: the
+    #: fewest entries of a list and the largest value of a number.
+    fewest: dict = field(default_factory=dict)
+    most: dict = field(default_factory=dict)
+
+
+#: The Cantor offsets of every planes family need beta in (0, 1].
+_BETA_RANGE = {"beta": (1.0, "beta lies in (0, 1]")}
 
 
 SCENARIOS: dict[str, Scenario] = {
@@ -492,6 +511,7 @@ SCENARIOS: dict[str, Scenario] = {
         _run_dichotomy,
         "randomized spread/concentrate certificates with exhaustive verification",
         {"trials": 500, "rhos": [0.05, 0.1, 0.3], "max_directions": 12},
+        most={"rhos": (1.0, "rho lies in (0, 1]")},
     ),
     "kakeya": Scenario(
         _run_kakeya,
@@ -507,6 +527,7 @@ SCENARIOS: dict[str, Scenario] = {
             "grid_factor": 4,
             "members": "all",
         },
+        most={"rho": (1.0, "a cap diameter lies in (0, 1]")},
     ),
     "induction": Scenario(
         _run_induction,
@@ -517,6 +538,7 @@ SCENARIOS: dict[str, Scenario] = {
             "grid_factor": 4,
             "members": "all",
         },
+        most={"rho": (0.5, "a coarsening radius above 1/2 is not supported")},
     ),
     "thin": Scenario(
         _run_thin,
@@ -534,6 +556,7 @@ SCENARIOS: dict[str, Scenario] = {
                 {"n": 3, "d": 2, "beta": 1.0, "delta": 2.0**-5},
             ],
         },
+        most=_BETA_RANGE,
     ),
     "sharpness": Scenario(
         _run_sharpness,
@@ -545,6 +568,8 @@ SCENARIOS: dict[str, Scenario] = {
                 {"n": 3, "d": 2, "beta": 1.0, "scales": [2.0**-3, 2.0**-4, 2.0**-5]},
             ],
         },
+        fewest={"scales": (3, "an exponent fit needs at least 3 scales")},
+        most=_BETA_RANGE,
     ),
 }
 

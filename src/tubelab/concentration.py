@@ -10,7 +10,8 @@ the ring-lattice `linegeom.SphereNet` at angular resolution r/4 and foot
 points on an (r/2)-grid of each direction's orthogonal hyperplane.  Any line
 meeting the unit ball is then within r of some center.  Only centers near
 the query lines are ever materialized; balls away from every line are empty
-and cannot attain the maximum of any scan.
+and cannot attain the maximum of any scan.  Each direction net is built once
+per process and shared by every ball net in its dimension (`_DIRECTION_NETS`).
 
 One routine, `BallNet._incidences`, finds every (center, line) candidate
 pair as arrays, at one radius or at several in one pass: lattice feet in a
@@ -61,10 +62,17 @@ def _line_arrays(lines) -> tuple[np.ndarray, np.ndarray]:
     return feet, dirs
 
 
-#: Largest direction net, in rows, that `BallNet` builds for n >= 4; each
-#: net is kept per radius with a table of the foot bases of the rows it has
-#: touched.
+#: Largest direction net, in rows, that `BallNet` uses for n >= 4; each net
+#: is kept for the whole process with a table of the foot bases of the rows
+#: any ball net has touched.
 MAX_NET_ROWS = 2_000_000
+
+#: The direction nets built in this process, keyed by (n, r/4): the
+#: `SphereNet(n, r/4)` of the radius-r balls of every `BallNet` in n
+#: dimensions.  A net's rows are read-only, and a row's foot basis has the
+#: same bits whichever batch fills it, so every ball net shares one.  A net
+#: above `MAX_NET_ROWS` is refused, and never stored.
+_DIRECTION_NETS: dict[tuple[int, float], SphereNet] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +90,9 @@ class BallNet:
     within r of some center, and no line lies in more than `overlap_bound`
     balls of one radius.  A center is the ball (k, w_idx, *j) of radius
     r = radii[k]: net row w_idx, foot `complements([w_idx])[0].T @ (j r/2)`.
+    The direction nets and their foot-basis tables come from
+    `_DIRECTION_NETS`, shared by every ball net of the process; the rest of
+    a ball net (its key layout and kept pairs) is its own.
 
     `_keys` packs balls into int64 keys that sort as their rows do: net rows
     numbered across the nets of all radii, then each foot index offset by
@@ -98,7 +109,6 @@ class BallNet:
     delta: float
     radii: tuple[float, ...]
     overlap_bound: int
-    _nets: dict = field(default_factory=dict, repr=False)
     _row_offset: np.ndarray | None = field(default=None, repr=False, compare=False)
     _kept_key: tuple | None = field(default=None, repr=False, compare=False)
     _kept: dict = field(default_factory=dict, repr=False, compare=False)
@@ -117,15 +127,14 @@ class BallNet:
         return cls(n=int(n), delta=float(delta), radii=tuple(radii), overlap_bound=bound)
 
     def _net(self, r: float) -> SphereNet:
-        if r not in self._nets:
-            net = SphereNet(self.n, r / 4.0)
-            if self.n >= 4 and len(net) > MAX_NET_ROWS:
-                raise MemoryError(
-                    f"direction net for n = {self.n} at r = {r:g} has {len(net)} rows, above "
-                    f"MAX_NET_ROWS = {MAX_NET_ROWS}; use a larger delta"
-                )
-            self._nets[r] = net
-        return self._nets[r]
+        key = (self.n, r / 4.0)
+        net = _DIRECTION_NETS[key] if key in _DIRECTION_NETS else SphereNet(*key)
+        if self.n >= 4 and len(net) > MAX_NET_ROWS:
+            raise MemoryError(
+                f"direction net for n = {self.n} at r = {r:g} has {len(net)} rows, above "
+                f"MAX_NET_ROWS = {MAX_NET_ROWS}; use a larger delta"
+            )
+        return _DIRECTION_NETS.setdefault(key, net)
 
     def _keys(self, k: np.ndarray, w: np.ndarray, j: np.ndarray) -> np.ndarray:
         """int64 keys of the balls (k[i], w[i], *j[i]), ordered as the rows.

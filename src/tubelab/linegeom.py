@@ -8,7 +8,9 @@ directions.  Lines are unoriented, so directions carry a canonical sign.
 All types are immutable after construction and every operation is a pure
 function, so everything here is safe to use from parallel worker processes.
 The one exception is the foot-basis table that a `SphereNet` fills on
-demand; it takes no lock, so one net is not shared between threads.
+demand.  `concentration` shares each ball net's `SphereNet` within a process;
+the table takes no lock, and tubelab runs no threads.  `--parallel` runs
+scenarios in processes, and each process builds its own nets.
 """
 
 from __future__ import annotations
@@ -465,7 +467,7 @@ class SphereNet:
     the net of S^(dim-2) at resolution 0.6 alpha/sin(theta_k) scaled by
     sin(theta_k), or a single row once pi sin(theta_k) <= 0.6 alpha.  Rows of
     ring k are `rows[ring_offset[k]:ring_offset[k + 1]]`.  Rows are oriented:
-    both u and -u may appear.
+    both u and -u may appear.  `rows` is read-only, so a net can be shared.
     """
 
     def __init__(self, dim: int, alpha: float):
@@ -479,6 +481,7 @@ class SphereNet:
             self.spacing = 2.0 * math.pi / m
             angles = (np.arange(m) + 0.5) * self.spacing
             self.rows = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            self.rows.setflags(write=False)
             return
         k_rings = max(int(math.ceil(math.pi / (_POLAR_FRACTION * alpha))), 1)
         self.ring_theta = (np.arange(k_rings) + 0.5) * math.pi / k_rings
@@ -496,6 +499,7 @@ class SphereNet:
             rings.append(ring)
         self.ring_offset = np.concatenate([[0], np.cumsum([len(r) for r in rings])])
         self.rows = np.vstack(rings)
+        self.rows.setflags(write=False)
 
     def __len__(self) -> int:
         return self.rows.shape[0]
@@ -545,7 +549,7 @@ class SphereNet:
         rows missing from it are filled in one `_complete_unit_rows` batch.
         """
         if self._slot is None:
-            self._slot = np.full(len(self), -1, dtype=np.int64)
+            self._slot = np.full(len(self), -1, dtype=np.int32)
         slot = self._slot[idx]
         missing = slot < 0
         if missing.any():
@@ -556,7 +560,7 @@ class SphereNet:
     def _fill(self, rows: np.ndarray) -> None:
         start, stop = self._filled, self._filled + rows.size
         if stop > len(self._table):
-            grown = np.empty((max(stop, 2 * len(self._table)), self.dim - 1, self.dim))
+            grown = np.empty((min(max(stop, 2 * len(self._table)), len(self)), self.dim - 1, self.dim))
             grown[:start] = self._table[:start]
             self._table = grown
         self._table[start:stop] = _complete_unit_rows(self.rows[rows])[:, 1:]

@@ -80,6 +80,13 @@ class TestConfig:
         ExperimentConfig("x", "dichotomy", params={"trials": 2.0, "rhos": [1], "max_directions": 3})
         ExperimentConfig("x", "dimension", params={"families": [{"n": 2.0, "d": 1, "beta": 1, "delta": 0.0625}]})
 
+    def test_params_at_their_range_ends_accepted(self):
+        ExperimentConfig("x", "dichotomy", params={"rhos": [1.0]})
+        ExperimentConfig("x", "decompose", params={"rho": 1.0})
+        ExperimentConfig("x", "induction", params={"rho": 0.5})
+        ExperimentConfig("x", "dimension", params={"families": [{"n": 2, "d": 1, "beta": 1.0, "delta": 0.0625}]})
+        ExperimentConfig("x", "sharpness", params={"configs": [{"n": 2, "d": 1, "beta": 1, "scales": [0.25, 0.125, 0.0625]}]})
+
     @pytest.mark.parametrize("name", ["quick.json", "standard.json"])
     def test_shipped_configs_load(self, name):
         path = Path(__file__).resolve().parents[1] / "configs" / name
@@ -346,6 +353,47 @@ class TestMain:
         error line when the config loads, not a traceback, a truncated count,
         a vacuous pass or a failure halfway through a run."""
         cfg = self._config_file(tmp_path, [{"name": "bad", "scenario": scenario, "seed": 0, "params": params}])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scenario, params, message",
+        [
+            (
+                "sharpness",
+                {"configs": [{"n": 2, "d": 1, "beta": 1.0, "scales": [0.125, 0.0625]}]},
+                "configs[0].scales must hold at least 3 entries (an exponent fit needs at least 3 scales), "
+                "got [0.125, 0.0625]",
+            ),
+            (
+                "sharpness",
+                {"configs": [{"n": 2, "d": 1, "beta": 1.5, "scales": [0.25, 0.125, 0.0625]}]},
+                "configs[0].beta must be at most 1.0 (beta lies in (0, 1]), got 1.5",
+            ),
+            (
+                "dimension",
+                {"families": [{"n": 2, "d": 1, "beta": 1.5, "delta": 0.0625}]},
+                "families[0].beta must be at most 1.0 (beta lies in (0, 1]), got 1.5",
+            ),
+            ("decompose", {"rho": 1.5}, "rho must be at most 1.0 (a cap diameter lies in (0, 1]), got 1.5"),
+            (
+                "induction",
+                {"rho": 0.75},
+                "rho must be at most 0.5 (a coarsening radius above 1/2 is not supported), got 0.75",
+            ),
+            ("dichotomy", {"rhos": [0.1, 1.5]}, "rhos[1] must be at most 1.0 (rho lies in (0, 1]), got 1.5"),
+        ],
+        ids=["two-scales", "sharpness-beta", "dimension-beta", "decompose-rho", "induction-rho", "dichotomy-rhos"],
+    )
+    def test_param_out_of_range_exits_two(self, tmp_path, capsys, scenario, params, message):
+        """A param of the right shape but outside the range its scenario
+        supports is one config error line when the config loads, before any
+        scenario runs, not an error after the others have run."""
+        first = {"name": "first", "scenario": "dichotomy", "seed": 0, "params": {"trials": 1}}
+        bad = {"name": "bad", "scenario": scenario, "seed": 0, "params": params}
+        cfg = self._config_file(tmp_path, [first, bad])
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"

@@ -271,13 +271,43 @@ class TestBatchedCounter:
         assert set(counter._counts.values()) == {1}
 
 
+class TestSharedNets:
+    """Every ball net takes its direction nets from `_DIRECTION_NETS`, one
+    per (n, r/4) for the whole process."""
+
+    @pytest.mark.parametrize("n, delta", [(2, 2.0**-4), (3, 2.0**-4), (4, 0.5)])
+    def test_shared_net_equals_a_fresh_net(self, n, delta):
+        """Rows and the foot basis of every row are byte for byte those of a
+        fresh `SphereNet(n, r/4)`, after the shared table was filled in
+        batches of random order."""
+        rng = np.random.default_rng(n)
+        net = BallNet.build(n, delta)
+        for r in net.radii:
+            shared = net._net(r)
+            assert shared is concentration._DIRECTION_NETS[(n, r / 4.0)]
+            assert BallNet.build(n, delta)._net(r) is shared
+            for part in np.array_split(rng.permutation(len(shared)), 3):
+                shared.complements(part)
+            fresh = SphereNet(n, r / 4.0)
+            every = np.arange(len(fresh))
+            assert shared.rows.tobytes() == fresh.rows.tobytes()
+            assert shared.complements(every).tobytes() == fresh.complements(every).tobytes()
+
+    def test_shared_rows_are_read_only(self):
+        rows = BallNet.build(2, 2.0**-4)._net(2.0**-4).rows
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.0
+
+
 class TestLimits:
     def test_direction_net_limit_names_its_inputs(self, monkeypatch):
         monkeypatch.setattr(concentration, "MAX_NET_ROWS", 1000)
+        monkeypatch.setattr(concentration, "_DIRECTION_NETS", {})
         net = BallNet.build(4, 0.5)
         feet, dirs = np.zeros((1, 4)), np.eye(4)[:1]
         with pytest.raises(MemoryError, match=r"n = 4 at r = 1 has 6288 rows, above MAX_NET_ROWS = 1000; use a larger delta"):
             net.scan(1.0, feet, dirs)
+        assert (4, 0.25) not in concentration._DIRECTION_NETS
 
     def test_counter_key_beyond_its_radix_fails_loudly(self):
         """A foot index outside the fixed field of the ball keys raises, from

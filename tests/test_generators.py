@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tubelab import concentration
 from tubelab.concentration import BallNet, ball_condition_worst_ratio
 from tubelab.generators import (
     SPAN,
@@ -142,13 +143,18 @@ class TestRandomNonconcentrated:
             for b in lines[i + 1 :]:
                 assert line_metric(a, b) > delta / 2
 
-    def test_reproducible(self):
+    def test_reproducible(self, monkeypatch):
+        """A draw on an emptied net dict and a draw on the nets it left
+        behind give the same bytes."""
         delta = 2.0**-4
+        monkeypatch.setattr(concentration, "_DIRECTION_NETS", {})
         a = gen_random_nonconcentrated(2, 1, 1.0, delta, seed=7).family
+        assert len(concentration._DIRECTION_NETS) == len(BallNet.build(2, delta).radii)
         b = gen_random_nonconcentrated(2, 1, 1.0, delta, seed=7).family
         assert [t.segment_center.tobytes() for t in a.tubes] == [
             t.segment_center.tobytes() for t in b.tubes
         ]
+        assert a.direction_matrix().tobytes() == b.direction_matrix().tobytes()
 
     def test_stall_returns_partial_family_with_flag(self, monkeypatch):
         import tubelab.generators as gen_mod
