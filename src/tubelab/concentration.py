@@ -128,13 +128,16 @@ class BallNet:
 
     def _net(self, r: float) -> SphereNet:
         key = (self.n, r / 4.0)
-        net = _DIRECTION_NETS[key] if key in _DIRECTION_NETS else SphereNet(*key)
-        if self.n >= 4 and len(net) > MAX_NET_ROWS:
-            raise MemoryError(
-                f"direction net for n = {self.n} at r = {r:g} has {len(net)} rows, above "
-                f"MAX_NET_ROWS = {MAX_NET_ROWS}; use a larger delta"
-            )
-        return _DIRECTION_NETS.setdefault(key, net)
+        if key not in _DIRECTION_NETS:
+            # Counted from the ring layout, so a refused net is never built.
+            rows = SphereNet.size(*key)
+            if self.n >= 4 and rows > MAX_NET_ROWS:
+                raise MemoryError(
+                    f"direction net for n = {self.n} at r = {r:g} has {rows} rows, above "
+                    f"MAX_NET_ROWS = {MAX_NET_ROWS}; use a larger delta"
+                )
+            _DIRECTION_NETS[key] = SphereNet(*key)
+        return _DIRECTION_NETS[key]
 
     def _keys(self, k: np.ndarray, w: np.ndarray, j: np.ndarray) -> np.ndarray:
         """int64 keys of the balls (k[i], w[i], *j[i]), ordered as the rows.

@@ -13,12 +13,13 @@ arithmetic; only the wedge volumes themselves are floating point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linegeom import Direction, GeometryError, Subspace, complete_orthonormal, rowdot, tuple_wedges
+from .linegeom import Direction, GeometryError, Subspace, canonical_rows, complete_orthonormal, rowdot, tuple_wedges
 
 #: Exhaustive tuple enumeration is used only up to this many tuples.
 EXHAUSTIVE_BUDGET = 10**6
@@ -35,28 +36,32 @@ class UncertifiedDichotomyError(RuntimeError):
     """Neither option could be certified (floating-point edge case)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionMultiset:
-    """A non-empty multiset of directions in R^n, stacked once into a read-only matrix."""
+    """A non-empty multiset of directions in R^n, stacked once into a
+    read-only matrix of `canonical_rows`, each row bit for bit
+    `Direction(row).u`.  `items` builds the `Direction`s when first read."""
 
-    items: tuple[Direction, ...]
     n: int
 
     def __init__(self, items):
-        items = tuple(d if isinstance(d, Direction) else Direction(d) for d in items)
-        if not items:
-            raise GeometryError("direction multiset must be non-empty")
-        n = items[0].n
-        if any(d.n != n for d in items):
-            raise GeometryError("all directions must share one ambient dimension")
-        mat = np.stack([d.u for d in items])
+        try:
+            mat = np.array([d.u if isinstance(d, Direction) else d for d in items], dtype=float)
+        except ValueError:
+            raise GeometryError("all directions must share one ambient dimension") from None
+        if mat.ndim != 2 or not mat.size or mat.shape[1] < 2:
+            raise GeometryError(f"need a non-empty multiset of vectors in R^n, n >= 2, got shape {mat.shape}")
+        mat = canonical_rows(mat)
         mat.setflags(write=False)
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", mat.shape[1])
         object.__setattr__(self, "_matrix", mat)
 
+    @functools.cached_property
+    def items(self) -> tuple[Direction, ...]:
+        return tuple(Direction(row) for row in self._matrix)
+
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self._matrix)
 
     def matrix(self) -> np.ndarray:
         return self._matrix

@@ -54,7 +54,9 @@ class Region:
             bad = ~((np.floor(a) == a) & (a >= 0) & (a < grid.total_cells))
             if bad.any():
                 raise GeometryError(_cells_message(grid, a[bad][0]))
-        c = sorted_distinct(a.astype(np.int64, copy=False))
+        c = a.astype(np.int64, copy=False)
+        if not np.all(c[1:] > c[:-1]):  # already sorted and distinct, as `FamilyRaster.occ` is
+            c = sorted_distinct(c)
         if c[0] < 0 or c[-1] >= grid.total_cells:
             raise GeometryError(_cells_message(grid, c[0] if c[0] < 0 else c[-1]))
         object.__setattr__(self, "grid", grid)

@@ -21,10 +21,11 @@ keep their runs, expanded into per-tube cell lists when an evaluation first
 reads them.  `rasterize_tube` is the one-tube case.  The raster carries its
 family and is passed to every evaluation on that grid, so norms, cap and
 coarse-tube groupings and multilinear sums share one rasterization.
-Multilinear sums group the candidate cells into faces, the cells contained
-in the same tubes of every slot, and sum the wedge volumes of a face's tuples
-once, from one table computed by `linegeom.tuple_wedges`; the k-fold product
-over cells is never materialized.  Grouped norms merge a group's sorted
+Multilinear sums keep the (cell, tube) pairs of the candidate cells alone,
+group those cells into faces, the cells contained in the same tubes of every
+slot, and evaluate each face's wedges once, from its own tubes, in chunks of
+at most WEDGE_TUPLE_LIMIT tuples; neither the N^k wedge table nor the k-fold
+product over cells is ever materialized.  Grouped norms merge a group's sorted
 per-tube cell lists with one stable sort, and the rho-coarsening tests all
 lattice candidates of a (tube, cap) pair in one broadcast.
 """
@@ -34,22 +35,23 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import linegeom
 from .linegeom import (
     GeometryError,
     Line,
     Tube,
     _complete_unit_rows,
     build_cap_cover,
+    gram_wedges,
     line_of_tube,
     row_labels,
     rowdot,
     segment_point_distances,
     sorted_distinct,
-    tuple_wedges,
 )
 
 #: Length of the segments of coarse covering tubes.  Unit tubes anywhere in
@@ -560,10 +562,10 @@ def _difference(slabs: np.ndarray) -> None:
 
 class _TubeCells(Sequence):
     """Sorted cell lists of a raster's tubes, expanded from its kept runs
-    (the batches of `_tube_runs`) when a list is first read."""
+    (`runs`, the batches of `_tube_runs`) when a list is first read."""
 
     def __init__(self, grid: Grid, count: int, runs: list):
-        self._grid, self._count, self._runs = grid, count, runs
+        self._grid, self._count, self.runs = grid, count, runs
         self._lists: list[np.ndarray] | None = None
 
     def __len__(self) -> int:
@@ -571,13 +573,12 @@ class _TubeCells(Sequence):
 
     def __getitem__(self, i):
         if self._lists is None:
-            tube, start, count, step = _run_arrays(self._grid, self._runs)
+            tube, start, count, step = _run_arrays(self._grid, self.runs)
             order = np.argsort(tube, kind="stable")
             cells = _run_cells(start[order], count[order], step[order])
             self._lists = np.split(cells, np.cumsum(np.bincount(tube, count, self._count).astype(np.int64))[:-1])
             for c in self._lists:
                 c.sort()
-            self._runs = None
         return self._lists[i]
 
 
@@ -594,10 +595,10 @@ class FamilyRaster:
     than the field and take less time), or when the field exceeds
     DENSE_BYTES_LIMIT.
 
-    `tube_cells` holds per-tube sorted cell lists for families of at most
-    PER_TUBE_LIMIT tubes (required by the multilinear and grouping
-    evaluators), expanded from the runs when a list is first read; larger
-    families keep only aggregate counts, and `tube_cells` is None.
+    `tube_cells` holds the kept runs (read by multilinear sums) and per-tube
+    sorted cell lists (read by grouped norms) of families of at most
+    PER_TUBE_LIMIT tubes, a list expanded when first read; larger families
+    keep only aggregate counts, and `tube_cells` is None.
     """
 
     family: TubeFamily
@@ -606,7 +607,6 @@ class FamilyRaster:
     counts: np.ndarray  # multiplicity per occupied cell
     entries: int  # sum over tubes of cells per tube
     tube_cells: Sequence[np.ndarray] | None = None
-    _index: tuple | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, F: TubeFamily, grid: Grid) -> "FamilyRaster":
@@ -631,20 +631,14 @@ class FamilyRaster:
             )
         return self.tube_cells
 
-    def cell_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cells, ids): every (cell, tube) incidence, stably sorted by cell."""
-        if self._index is None:
-            cells = self.require_tube_cells()
-            cat = np.concatenate(cells) if cells else np.empty(0, dtype=np.int64)
-            ids = np.repeat(np.arange(len(cells)), [c.size for c in cells])
-            order = np.argsort(cat, kind="stable")
-            self._index = (cat[order], ids[order])
-        return self._index
-
     def lookup(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(starts, ends, ids): the tubes containing cells[i] are
-        ids[starts[i]:ends[i]], in tube order."""
-        cat, ids = self.cell_index()
+        ids[starts[i]:ends[i]], in tube order, from the per-tube cell lists:
+        the reference for the pairs that `_candidate_lookup` keeps."""
+        lists = self.require_tube_cells()
+        cat = np.concatenate(lists) if lists else np.empty(0, dtype=np.int64)
+        order = np.argsort(cat, kind="stable")
+        cat, ids = cat[order], np.repeat(np.arange(len(lists)), [c.size for c in lists])[order]
         return np.searchsorted(cat, cells, "left"), np.searchsorted(cat, cells, "right"), ids
 
     def lp_norm(self, p: float) -> float:
@@ -720,9 +714,15 @@ def _multilinear_values(rasters: list[FamilyRaster]) -> tuple[np.ndarray, np.nda
 
     A family repeated across slots is passed as the same raster object.
     Cells with the same containing tubes in every slot (the same face of the
-    arrangement) have the same value: it is evaluated once per face, on one
-    of its cells, and scattered back to the face's cells.
+    arrangement) have the same value: it is evaluated once per face, from the
+    face's own tubes, and scattered back to the face's cells.  Faces with the
+    same tube count per slot go to `gram_wedges` together, in chunks of at
+    most WEDGE_TUPLE_LIMIT tuples, with Gram entries gathered from the
+    products mats[a] @ mats[b].T of `tuple_wedges`; a face's tuples are
+    summed in the order of `W[np.ix_(...)].sum()` on its table W, so each
+    value is that sum, bit for bit.
     """
+    k = len(rasters)
     distinct = list({id(r): r for r in rasters}.values())
     if len(distinct) == 1:
         r0 = rasters[0]
@@ -734,12 +734,54 @@ def _multilinear_values(rasters: list[FamilyRaster]) -> tuple[np.ndarray, np.nda
     if cand.size == 0:
         return cand, np.zeros(0)
 
-    W = tuple_wedges([r.family.direction_matrix() for r in rasters])
-    lookups = {id(r): r.lookup(cand) for r in distinct}
+    lookups = {id(r): _candidate_lookup(r, cand) for r in distinct}
     face, first = row_labels(np.stack([_run_labels(*lookups[id(r)]) for r in distinct], axis=1))
-    slots = [lookups[id(r)] for r in rasters]
-    face_vals = np.array([W[np.ix_(*[ids[s[i] : e[i]] for s, e, ids in slots])].sum() for i in first.tolist()])
+    starts, ends, ids = zip(*(lookups[id(r)] for r in rasters))
+    starts = [s[first] for s in starts]
+    sizes = np.stack([e[first] - s for s, e in zip(starts, ends)], axis=1)
+    # One product per pair of rasters, and one per diagonal, which numpy forms another way.
+    key = [[(id(ra), id(rb), a == b) for b, rb in enumerate(rasters)] for a, ra in enumerate(rasters)]
+    pairs = {key[a][b]: (a, b) for a, b in itertools.product(range(k), repeat=2) if a < b or k >= 4}
+    mats = [r.family.direction_matrix() for r in rasters]
+    products = {kk: mats[a] @ mats[b].T for kk, (a, b) in pairs.items()}
+
+    face_vals = np.empty(first.size)
+    shape_of, rep = row_labels(sizes)
+    groups = np.split(np.argsort(shape_of, kind="stable"), np.cumsum(np.bincount(shape_of))[:-1])
+    limit = linegeom.WEDGE_TUPLE_LIMIT
+    for dims, faces in zip(sizes[rep].tolist(), groups):
+        tuples = math.prod(dims)
+        if tuples > limit:
+            raise MemoryError(
+                f"a face with {' x '.join(map(str, dims))} tubes per slot has {tuples} {k}-tuples, "
+                f"above WEDGE_TUPLE_LIMIT = {limit}"
+            )
+        for c0 in range(0, faces.size, limit // tuples):
+            chunk = faces[c0 : c0 + limit // tuples]
+            # Slot s's tube ids of each face of the chunk, along axis s + 1.
+            at = [
+                ids[s][starts[s][chunk, None] + np.arange(L)].reshape(-1, *(L if j == s else 1 for j in range(k)))
+                for s, L in enumerate(dims)
+            ]
+            vals = gram_wedges(k, (chunk.size, *dims), lambda a, b: products[key[a][b]][at[a], at[b]])
+            face_vals[chunk] = vals.reshape(chunk.size, -1).sum(axis=1)
     return cand, face_vals[face]
+
+
+def _candidate_lookup(raster: FamilyRaster, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`raster.lookup(cand)` for sorted cells `cand`, from the raster's kept
+    runs: only the (cell, tube) pairs on `cand` are kept, a batch of runs at
+    a time, and then sorted once, by cell and then by tube."""
+    m, n = raster.grid.m, raster.grid.n
+    parts = []
+    for a, tube, start, count in raster.require_tube_cells().runs:
+        cells = _run_cells(start, count, np.full(tube.size, m ** (n - 1 - a)))
+        hit = cand[np.minimum(np.searchsorted(cand, cells), cand.size - 1)] == cells
+        parts.append((cells[hit], np.repeat(tube, count)[hit]))
+    cells, ids = (np.concatenate(column) for column in zip(*parts))
+    order = np.lexsort((ids, cells))
+    cells = cells[order]
+    return np.searchsorted(cells, cand, "left"), np.searchsorted(cells, cand, "right"), ids[order]
 
 
 def _run_labels(starts: np.ndarray, ends: np.ndarray, ids: np.ndarray) -> np.ndarray:

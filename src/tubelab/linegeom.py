@@ -49,6 +49,19 @@ def canonical_sign(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def canonical_rows(v: np.ndarray) -> np.ndarray:
+    """`Direction(row).u` for every row of v (N, n) at once, bit for bit: a
+    norm is the root of `rowdot`, the dot that `np.linalg.norm` takes."""
+    norm = np.sqrt(rowdot(v, v))
+    if np.any(norm < 1e-14):
+        raise GeometryError("cannot normalize a zero vector")
+    off = np.abs(norm - 1.0) > UNIT_NORM
+    v = np.where(off[:, None], v / np.where(off, norm, 1.0)[:, None], v)
+    big = np.abs(v) > SIGN_THRESHOLD
+    flip = big.any(axis=1) & (v[np.arange(len(v)), big.argmax(axis=1)] < 0)
+    return np.where(flip[:, None], -v, v)
+
+
 @dataclass(frozen=True)
 class Direction:
     """A canonical unit vector in R^n representing an unoriented direction."""
@@ -218,10 +231,11 @@ def wedge_volume(vs) -> float:
     return min(math.sqrt(max(det, 0.0)), 1.0)
 
 
-#: tuple_wedges refuses more tuples than this.  Pairs of families that keep
-#: per-tube cell lists stay below it; at the limit the k = 3 path holds about
-#: 1 GB of temporaries and the k >= 4 path a k x k Gram matrix per tuple.
-WEDGE_TUPLE_LIMIT = 20_000_000
+#: The most tuples whose wedges are evaluated at once: `tuple_wedges` refuses
+#: more, and the face-local multilinear sums evaluate their faces in chunks of
+#: at most this many.  The dichotomy's EXHAUSTIVE_BUDGET lies below it.  At
+#: the limit k = 3 takes a few 8 MiB temporaries, k = 4 a 128 MiB Gram stack.
+WEDGE_TUPLE_LIMIT = 2**20
 
 
 def tuple_wedges(mats) -> np.ndarray:
@@ -229,14 +243,11 @@ def tuple_wedges(mats) -> np.ndarray:
 
     For unit-row matrices of shapes (N1, n), ..., (Nk, n) returns an array of
     shape (N1, ..., Nk) whose entry (i1, ..., ik) is the volume spanned by
-    rows mats[0][i1], ..., mats[k-1][ik], clamped into [0, 1].  Gram
-    entries come from the pairwise products mats[a] @ mats[b].T.  The volume
-    is 1 for k = 1 and the square root of the Gram determinant otherwise: in
-    closed form with unit diagonal for k = 2 and 3 (with ab = a . b,
-    1 - ab^2 and 1 + 2 ab ac bc - ab^2 - ac^2 - bc^2), by batched LU for
-    k >= 4.  A tuple that repeats a vector has a determinant at roundoff
-    level, so its volume is of order 1e-8 rather than 0.  `wedge_volume` is
-    the scalar reference.
+    rows mats[0][i1], ..., mats[k-1][ik]: 1 for k = 1, else `gram_wedges` of
+    the pairwise products mats[a] @ mats[b].T, broadcast over the tuples.  A
+    tuple that repeats a vector has a determinant at roundoff level, so its
+    volume is of order 1e-8 rather than 0.  `wedge_volume` is the scalar
+    reference.
     """
     k = len(mats)
     shape = tuple(m.shape[0] for m in mats)
@@ -248,24 +259,31 @@ def tuple_wedges(mats) -> np.ndarray:
         )
     if k == 1:
         return np.ones(shape)
+
+    def entry(a: int, b: int) -> np.ndarray:
+        # A view of the product: its diagonal for a = b, transposed for a > b.
+        g = mats[a] @ mats[b].T
+        g = np.diagonal(g) if a == b else g if a < b else g.T
+        return g.reshape([N if i in (a, b) else 1 for i, N in enumerate(shape)])
+
+    return gram_wedges(k, shape, entry)
+
+
+def gram_wedges(k: int, shape: tuple, entry) -> np.ndarray:
+    """Wedge volumes of k-tuples of unit vectors, of the given shape, where
+    entry(a, b) broadcasts the dot products of slots a and b to it: the root
+    of the Gram determinant, clamped into [0, 1], in closed form with unit
+    diagonal for k = 2 and 3 (with ab = a . b, 1 - ab^2 and
+    1 + 2 ab ac bc - ab^2 - ac^2 - bc^2), by batched LU for k >= 4."""
     if k == 2:
-        g = mats[0] @ mats[1].T
-        return np.sqrt(np.clip(1.0 - g**2, 0.0, 1.0))
+        return np.sqrt(np.clip(1.0 - entry(0, 1) ** 2, 0.0, 1.0))
     if k == 3:
-        ab, ac, bc = mats[0] @ mats[1].T, mats[0] @ mats[2].T, mats[1] @ mats[2].T
-        det = (
-            1.0
-            + 2.0 * ab[:, :, None] * ac[:, None, :] * bc[None, :, :]
-            - (ab**2)[:, :, None]
-            - (ac**2)[:, None, :]
-            - (bc**2)[None, :, :]
-        )
-        return np.sqrt(np.clip(det, 0.0, 1.0))
-    idx = np.ix_(*(np.arange(N) for N in shape))
+        ab, ac, bc = entry(0, 1), entry(0, 2), entry(1, 2)
+        return np.sqrt(np.clip(1.0 + 2.0 * ab * ac * bc - ab**2 - ac**2 - bc**2, 0.0, 1.0))
     gram = np.empty(shape + (k, k))
     for a in range(k):
         for b in range(k):
-            gram[..., a, b] = (mats[a] @ mats[b].T)[idx[a], idx[b]]
+            gram[..., a, b] = entry(a, b)
     return np.sqrt(np.clip(np.linalg.det(gram), 0.0, 1.0))
 
 
@@ -458,6 +476,15 @@ _POLAR_FRACTION = 0.7
 _RING_FRACTION = 0.6
 
 
+def _rings(dim: int, alpha: float) -> tuple[np.ndarray, list]:
+    """Polar angles of the rings of `SphereNet(dim >= 3, alpha)`, and the
+    resolution of each ring's net of S^(dim-2) (None: a ring of one row)."""
+    k_rings = max(int(math.ceil(math.pi / (_POLAR_FRACTION * alpha))), 1)
+    theta = (np.arange(k_rings) + 0.5) * math.pi / k_rings
+    s = [math.sin(t) for t in theta]
+    return theta, [None if math.pi * x <= _RING_FRACTION * alpha else _RING_FRACTION * alpha / x for x in s]
+
+
 class SphereNet:
     """Deterministic ring-lattice covering of S^(dim-1) within geodesic radius alpha.
 
@@ -477,29 +504,30 @@ class SphereNet:
         self._table = np.empty((0, self.dim - 1, self.dim))
         self._filled = 0
         if self.dim == 2:
-            m = max(int(math.ceil(math.pi / alpha)), 1)
+            m = SphereNet.size(2, alpha)
             self.spacing = 2.0 * math.pi / m
             angles = (np.arange(m) + 0.5) * self.spacing
             self.rows = np.stack([np.cos(angles), np.sin(angles)], axis=1)
             self.rows.setflags(write=False)
             return
-        k_rings = max(int(math.ceil(math.pi / (_POLAR_FRACTION * alpha))), 1)
-        self.ring_theta = (np.arange(k_rings) + 0.5) * math.pi / k_rings
+        self.ring_theta, ring_alpha = _rings(self.dim, alpha)
         rings = []
-        for theta in self.ring_theta:
-            s, c = math.sin(theta), math.cos(theta)
-            if math.pi * s <= _RING_FRACTION * alpha:
-                sub = np.zeros((1, self.dim - 1))
-                sub[0, 0] = 1.0
-            else:
-                sub = SphereNet(self.dim - 1, _RING_FRACTION * alpha / s).rows
+        for theta, sub_alpha in zip(self.ring_theta, ring_alpha):
+            sub = np.eye(1, self.dim - 1) if sub_alpha is None else SphereNet(self.dim - 1, sub_alpha).rows
             ring = np.empty((sub.shape[0], self.dim))
-            ring[:, : self.dim - 1] = s * sub
-            ring[:, self.dim - 1] = c
+            ring[:, : self.dim - 1] = math.sin(theta) * sub
+            ring[:, self.dim - 1] = math.cos(theta)
             rings.append(ring)
         self.ring_offset = np.concatenate([[0], np.cumsum([len(r) for r in rings])])
         self.rows = np.vstack(rings)
         self.rows.setflags(write=False)
+
+    @staticmethod
+    def size(dim: int, alpha: float) -> int:
+        """len(SphereNet(dim, alpha)), counted from the ring layout alone."""
+        if dim == 2:
+            return max(int(math.ceil(math.pi / alpha)), 1)
+        return sum(1 if a is None else SphereNet.size(dim - 1, a) for a in _rings(dim, alpha)[1])
 
     def __len__(self) -> int:
         return self.rows.shape[0]

@@ -309,6 +309,29 @@ class TestLimits:
             net.scan(1.0, feet, dirs)
         assert (4, 0.25) not in concentration._DIRECTION_NETS
 
+    def test_refused_net_is_never_built(self, monkeypatch):
+        """The row count of a refused net comes from its ring layout: no
+        `SphereNet` is built, on the first call or on a repeated one."""
+        built = []
+
+        class CountingNet(SphereNet):
+            def __init__(self, dim, alpha):
+                built.append((dim, alpha))
+                super().__init__(dim, alpha)
+
+        monkeypatch.setattr(concentration, "SphereNet", CountingNet)
+        monkeypatch.setattr(concentration, "_DIRECTION_NETS", {})
+        net = BallNet.build(4, 0.125)
+        feet, dirs = np.zeros((1, 4)), np.eye(4)[:1]
+        for _ in range(2):
+            with pytest.raises(MemoryError, match=r"n = 4 at r = 0.125 has 3084016 rows, above MAX_NET_ROWS = 2000000"):
+                net.scan(0.125, feet, dirs)
+        assert built == [] and concentration._DIRECTION_NETS == {}
+
+    @pytest.mark.parametrize("dim, alpha", [(2, 0.3), (3, 1.0), (3, 2.0**-6), (4, 0.5), (4, 0.25), (5, 1.0)])
+    def test_net_size_is_its_row_count(self, dim, alpha):
+        assert SphereNet.size(dim, alpha) == len(SphereNet(dim, alpha))
+
     def test_counter_key_beyond_its_radix_fails_loudly(self):
         """A foot index outside the fixed field of the ball keys raises, from
         an insertion and from a scan alike, rather than wrapping into another

@@ -19,6 +19,8 @@ from tubelab.dichotomy import (
     verify_option_b,
 )
 from tubelab.linegeom import (
+    Direction,
+    GeometryError,
     Subspace,
     build_cap_cover,
     complete_orthonormal,
@@ -318,3 +320,35 @@ class TestDirectionMatrix:
         with pytest.raises(ValueError):
             mat[0, 0] = 2.0
         np.testing.assert_array_equal(mat, np.stack([d.u for d in U.items]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rows_are_the_directions_bit_for_bit(self, n):
+        # Raw rows of every kind: non-unit, unit, negated, with zero or tiny
+        # leading coordinates, and Direction objects mixed in.
+        rng = np.random.default_rng(n)
+        v = rng.normal(size=(3000, n)) * rng.uniform(0.1, 10.0, size=(3000, 1))
+        v[::2] /= np.linalg.norm(v[::2], axis=1, keepdims=True)
+        v[::3, 0] = 0.0
+        v[1::5, 0] = -0.0
+        v[2::7, 0] = 1e-10
+        v[3::11, : n - 1] = 0.0
+        v[::4] *= -1.0
+        rows = [Direction(r) if i % 9 == 0 else r for i, r in enumerate(v)]
+        U = DirectionMultiset(rows)
+        want = np.stack([Direction(r).u for r in v])
+        assert U.matrix().tobytes() == want.tobytes()
+        assert len(U) == 3000 and U.n == n
+        assert all(d.u.tobytes() == r.tobytes() for d, r in zip(U.items, want))
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            ([], "non-empty"),
+            ([[1.0, 0.0], [0.0, 0.0]], "zero vector"),
+            ([[1.0, 0.0], [0.0, 0.0, 1.0]], "one ambient dimension"),
+            ([[1.0], [2.0]], r"n >= 2"),
+        ],
+    )
+    def test_bad_rows_rejected(self, rows, match):
+        with pytest.raises(GeometryError, match=match):
+            DirectionMultiset(rows)

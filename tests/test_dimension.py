@@ -88,6 +88,22 @@ class TestRegionCells:
         with pytest.raises(GeometryError, match=r"integers in \[0, 1024\)"):
             Region(G, cells)
 
+    @pytest.mark.parametrize(
+        "cells, want",
+        [([1, 5, 9], [1, 5, 9]), ([1, 5, 5, 9], [1, 5, 9]), ([9, 5, 1], [1, 5, 9]), ([4], [4]), ([1, 0, 2], [0, 1, 2])],
+    )
+    def test_cells_sorted_or_left_as_they_are(self, cells, want):
+        G = Grid(2, 1.0 / 16, 1.0)
+        for dtype in (np.int32, np.int64):
+            R = Region(G, np.array(cells, dtype=dtype))
+            assert R.cells.dtype == np.int64 and R.cells.tolist() == want
+
+    def test_raster_cells_kept_bit_for_bit(self):
+        F = suite_member("bush-n3").family(2.0**-4)
+        G = Grid.for_family(F, 4)
+        occ = FamilyRaster.build(F, G).occ
+        assert Region(G, occ).cells.tobytes() == np.unique(occ).tobytes()
+
     def test_integral_float_cells_accepted(self):
         G = Grid(2, 1.0 / 16, 1.0)
         assert Region(G, [5.0, 1.0, 5.0]).cells.tolist() == [1, 5]

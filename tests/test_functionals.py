@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tubelab import functionals
+from tubelab import functionals, linegeom
 from tubelab.functionals import (
     COARSE_LENGTH,
     FamilyRaster,
@@ -690,6 +690,87 @@ class TestFaceSums:
         for cell in set(got) | set(want):
             value, tuples = want.get(cell, (0.0, 0))
             assert abs(got.get(cell, 0.0) - value) <= 3e-8 * max(tuples, 1), cell
+
+
+class TestChunkedFaceSums:
+    """Face-local sums in chunks of at most WEDGE_TUPLE_LIMIT tuples, with
+    the limit patched down so that every case runs in many chunks."""
+
+    @staticmethod
+    def slot_families(case):
+        if case != "n4-k4":
+            return TestFaceSums.slot_families(case)
+        # The shared family of test_n4_k4_matches_tuple_enumeration.
+        rng = np.random.default_rng(41)
+        n, delta = 4, 0.5
+        tubes = []
+        for axis in range(n):
+            for i in range(2):
+                u = np.eye(n)[axis] + 0.3 * rng.normal(size=n)
+                t = Tube(rng.uniform(-0.15, 0.15, size=n), Direction(u), delta)
+                if i == 0:
+                    tubes.append(t)
+        return [family(tubes, delta, n)] * n
+
+    @staticmethod
+    def face_tuples(fams, G, cells):
+        """Tuples of each cell's face: the product over slots of its tubes."""
+        built = {}
+        lookups = [built.setdefault(id(f), FamilyRaster.build(f, G)).lookup(cells) for f in fams]
+        return np.prod([e - s for s, e, _ in lookups], axis=0)
+
+    @pytest.mark.parametrize("case", ["bush-n2", "axes-n3-k3", "mixed-AAB", "n4-k4"])
+    @pytest.mark.parametrize("spare", [0, 1])
+    def test_chunked_equals_unchunked_and_per_cell_loop(self, case, spare, monkeypatch):
+        fams = self.slot_families(case)
+        G = Grid.for_family(fams[0], 2 if case == "n4-k4" else 4)
+        built = {}
+        rasters = [built.setdefault(id(f), FamilyRaster.build(f, G)) for f in fams]
+        ref_cells, ref_vals = per_cell_values(rasters)
+        cells, vals = multilinear_cell_values(fams, G)
+        tuples = self.face_tuples(fams, G, cells)
+        # The largest face fills a chunk, alone or with spare room for one
+        # tuple; smaller faces share chunks.
+        limit = int(tuples.max()) + spare
+        monkeypatch.setattr(linegeom, "WEDGE_TUPLE_LIMIT", limit)
+        assert tuples.sum() > 2 * limit
+        got_cells, got_vals = multilinear_cell_values(fams, G)
+        assert got_cells.tobytes() == cells.tobytes() == ref_cells.tobytes()
+        assert got_vals.tobytes() == vals.tobytes() == ref_vals.tobytes()
+
+    def test_family_above_the_limit_whose_faces_fit(self, monkeypatch):
+        F = suite_member("random-n3-k3").family(2.0**-4)
+        fams = [F] * 3
+        G = Grid.for_family(F, 4)
+        cells, vals = multilinear_cell_values(fams, G)
+        limit = int(self.face_tuples(fams, G, cells).max())
+        assert limit < len(F) ** 3
+        monkeypatch.setattr(linegeom, "WEDGE_TUPLE_LIMIT", limit)
+        with pytest.raises(MemoryError):
+            tuple_wedges([F.direction_matrix()] * 3)
+        got_cells, got_vals = multilinear_cell_values(fams, G)
+        assert got_cells.tobytes() == cells.tobytes() and got_vals.tobytes() == vals.tobytes()
+        want = tuple_enumeration(fams, G)
+        got = dict(zip(got_cells.tolist(), got_vals.tolist()))
+        assert any(v > 0.0 for v, _ in want.values())
+        for cell in set(got) | set(want):
+            value, count = want.get(cell, (0.0, 0))
+            assert abs(got.get(cell, 0.0) - value) <= 3e-8 * max(count, 1), cell
+
+    @pytest.mark.parametrize("case", ["bush-n2", "mixed-AAB"])
+    def test_face_above_the_limit_names_its_tube_counts(self, case, monkeypatch):
+        fams = TestFaceSums.slot_families(case)
+        G = Grid.for_family(fams[0], 4)
+        cells, _ = multilinear_cell_values(fams, G)
+        built = {}
+        lookups = [built.setdefault(id(f), FamilyRaster.build(f, G)).lookup(cells) for f in fams]
+        sizes = np.stack([e - s for s, e, _ in lookups], axis=1)
+        big = sizes[np.argmax(sizes.prod(axis=1))].tolist()
+        monkeypatch.setattr(linegeom, "WEDGE_TUPLE_LIMIT", math.prod(big) - 1)
+        counts = " x ".join(map(str, big))
+        match = rf"a face with {counts} tubes per slot has {math.prod(big)} {len(fams)}-tuples, above WEDGE_TUPLE_LIMIT"
+        with pytest.raises(MemoryError, match=match):
+            multilinear_cell_values(fams, G)
 
 
 class TestGroupedLpPower:
