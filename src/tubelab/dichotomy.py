@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linegeom import Direction, GeometryError, Subspace, canonical_rows, complete_orthonormal, rowdot, tuple_wedges
-
-#: Exhaustive tuple enumeration is used only up to this many tuples.
-EXHAUSTIVE_BUDGET = 10**6
+from .linegeom import (
+    WEDGE_TUPLE_LIMIT, Direction, GeometryError, Subspace, canonical_rows, complete_orthonormal, rowdot, tuple_wedges,
+)
 
 #: Number of random subspaces probed when approximating the capture supremum.
 RANDOM_SUBSPACE_PROBES = 64
@@ -82,9 +81,9 @@ class DichotomyResult:
 def _check_tuples(U: DirectionMultiset, k: int) -> None:
     if not 2 <= k <= U.n:
         raise GeometryError(f"need 2 <= k <= n, got k={k}, n={U.n}")
-    if len(U) ** k > EXHAUSTIVE_BUDGET:
+    if len(U) ** k > WEDGE_TUPLE_LIMIT:
         raise BudgetError(
-            f"{len(U)}^{k} tuples exceed the exhaustive budget of {EXHAUSTIVE_BUDGET}; "
+            f"{len(U)}^{k} tuples exceed WEDGE_TUPLE_LIMIT = {WEDGE_TUPLE_LIMIT}; "
             "use a smaller multiset or a smaller k"
         )
 

@@ -82,12 +82,21 @@ class Region:
 
     @classmethod
     def from_points(cls, grid: Grid, points) -> "Region":
-        """Rasterize a point set (shape (N, n) or (N,) for n = 1)."""
+        """Rasterize a point set (shape (N, n) or (N,) for n = 1) lying in
+        the grid's closed box [lo, lo + m*h]^n; a point on an upper face
+        falls in the last cell along that axis."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        idx = np.floor((pts - grid.lo) / grid.h).astype(np.int64)
-        idx = np.clip(idx, 0, grid.m - 1)
+        if pts.ndim != 2 or pts.shape[1] != grid.n:
+            raise GeometryError(f"points must have shape (N, {grid.n}) on this grid, got {pts.shape}")
+        top = grid.lo + grid.m * grid.h
+        bad = np.flatnonzero(~np.all((pts >= grid.lo) & (pts <= top), axis=1))
+        if bad.size:
+            i = int(bad[0])
+            where = f"lies outside [{grid.lo:g}, {top:g}]^{grid.n}" if np.isfinite(pts[i]).all() else "is not finite"
+            raise GeometryError(f"point {i} {where}: {pts[i].tolist()}")
+        idx = np.minimum(np.floor((pts - grid.lo) / grid.h).astype(np.int64), grid.m - 1)
         linear = np.ravel_multi_index(idx.T, (grid.m,) * grid.n)
         return cls(grid, linear)
 

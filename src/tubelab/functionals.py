@@ -17,24 +17,23 @@ untested, and the kept cells of a row form one run.  A family is rasterized
 once per grid into a `FamilyRaster`: its runs are counted in an int64 field
 by differences along each row and a cumulative sum, or by `np.unique` for
 sparse families of at most PER_TUBE_LIMIT tubes, and small families also
-keep their runs, expanded into per-tube cell lists when an evaluation first
-reads them.  `rasterize_tube` is the one-tube case.  The raster carries its
-family and is passed to every evaluation on that grid, so norms, cap and
-coarse-tube groupings and multilinear sums share one rasterization.
-Multilinear sums keep the (cell, tube) pairs of the candidate cells alone,
-group those cells into faces, the cells contained in the same tubes of every
-slot, and evaluate each face's wedges once, from its own tubes, in chunks of
-at most WEDGE_TUPLE_LIMIT tuples; neither the N^k wedge table nor the k-fold
-product over cells is ever materialized.  Grouped norms merge a group's sorted
-per-tube cell lists with one stable sort, and the rho-coarsening tests all
-lattice candidates of a (tube, cap) pair in one broadcast.
+keep their runs, the one per-tube index.  `rasterize_tube` is the one-tube
+case.  The raster carries its family and is passed to every evaluation on
+that grid, so norms, cap and coarse-tube groupings and multilinear sums
+share one rasterization.  Multilinear sums keep the (cell, tube) pairs of
+the candidate cells alone, group those cells into faces, the cells contained
+in the same tubes of every slot, and evaluate each face's wedges once, from
+its own tubes, in chunks of at most WEDGE_TUPLE_LIMIT tuples; neither the N^k
+wedge table nor the k-fold product over cells is ever materialized.  Grouped
+norms expand the runs into sorted per-tube cell lists for the length of one
+call and merge a group's lists with one stable sort, and the rho-coarsening
+tests all lattice candidates of a (tube, cap) pair in one broadcast.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +59,9 @@ from .linegeom import (
 #: unit tubes without unbounded overlap.
 COARSE_LENGTH = 3.0
 
-#: Families with more tubes than this keep no per-tube cell lists (norms
-#: only) and are always counted in the dense count field.
+#: Families with more tubes than this keep no runs, so multilinear sums and
+#: grouped norms refuse them (norms only), and are always counted in the
+#: dense count field.
 PER_TUBE_LIMIT = 4000
 
 #: Largest dense count field, in bytes (8 per grid cell), that
@@ -560,26 +560,16 @@ def _difference(slabs: np.ndarray) -> None:
         np.subtract(slabs[i], slabs[i - 1], out=slabs[i])
 
 
-class _TubeCells(Sequence):
-    """Sorted cell lists of a raster's tubes, expanded from its kept runs
-    (`runs`, the batches of `_tube_runs`) when a list is first read."""
-
-    def __init__(self, grid: Grid, count: int, runs: list):
-        self._grid, self._count, self.runs = grid, count, runs
-        self._lists: list[np.ndarray] | None = None
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, i):
-        if self._lists is None:
-            tube, start, count, step = _run_arrays(self._grid, self.runs)
-            order = np.argsort(tube, kind="stable")
-            cells = _run_cells(start[order], count[order], step[order])
-            self._lists = np.split(cells, np.cumsum(np.bincount(tube, count, self._count).astype(np.int64))[:-1])
-            for c in self._lists:
-                c.sort()
-        return self._lists[i]
+def _tube_cell_lists(raster: FamilyRaster) -> list[np.ndarray]:
+    """Sorted cell list of each tube of the raster, expanded from its kept
+    runs; the run arrays are freed when this returns."""
+    tube, start, count, step = _run_arrays(raster.grid, raster.require_tube_cells())
+    order = np.argsort(tube, kind="stable")
+    cells = _run_cells(start[order], count[order], step[order])
+    lists = np.split(cells, np.cumsum(np.bincount(tube, count, len(raster.family)).astype(np.int64)))[:-1]
+    for c in lists:
+        c.sort()
+    return lists
 
 
 @dataclass
@@ -595,10 +585,11 @@ class FamilyRaster:
     than the field and take less time), or when the field exceeds
     DENSE_BYTES_LIMIT.
 
-    `tube_cells` holds the kept runs (read by multilinear sums) and per-tube
-    sorted cell lists (read by grouped norms) of families of at most
-    PER_TUBE_LIMIT tubes, a list expanded when first read; larger families
-    keep only aggregate counts, and `tube_cells` is None.
+    `tube_cells` holds the kept runs of families of at most PER_TUBE_LIMIT
+    tubes, the batches of `_tube_runs`, the one per-tube index: multilinear
+    sums keep their pairs on candidate cells, and grouped norms expand them
+    into per-tube cell lists for one call.  Larger families keep only
+    aggregate counts, and `tube_cells` is None.
     """
 
     family: TubeFamily
@@ -606,7 +597,7 @@ class FamilyRaster:
     occ: np.ndarray  # sorted linear indices of occupied cells
     counts: np.ndarray  # multiplicity per occupied cell
     entries: int  # sum over tubes of cells per tube
-    tube_cells: Sequence[np.ndarray] | None = None
+    tube_cells: list | None = None
 
     @classmethod
     def build(cls, F: TubeFamily, grid: Grid) -> "FamilyRaster":
@@ -621,25 +612,15 @@ class FamilyRaster:
         else:
             _, start, count, step = _run_arrays(grid, runs)
             occ, counts = np.unique(_run_cells(start, count, step), return_counts=True)
-        return cls(F, grid, occ, counts, entries, _TubeCells(grid, len(F), runs))
+        return cls(F, grid, occ, counts, entries, runs)
 
-    def require_tube_cells(self) -> Sequence[np.ndarray]:
+    def require_tube_cells(self) -> list:
         if self.tube_cells is None:
             raise GeometryError(
-                "family too large for per-tube cell lists; this evaluation "
-                "needs a family of at most {} tubes".format(PER_TUBE_LIMIT)
+                "family too large for per-tube runs; this evaluation needs a "
+                f"family of at most PER_TUBE_LIMIT = {PER_TUBE_LIMIT} tubes"
             )
         return self.tube_cells
-
-    def lookup(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(starts, ends, ids): the tubes containing cells[i] are
-        ids[starts[i]:ends[i]], in tube order, from the per-tube cell lists:
-        the reference for the pairs that `_candidate_lookup` keeps."""
-        lists = self.require_tube_cells()
-        cat = np.concatenate(lists) if lists else np.empty(0, dtype=np.int64)
-        order = np.argsort(cat, kind="stable")
-        cat, ids = cat[order], np.repeat(np.arange(len(lists)), [c.size for c in lists])[order]
-        return np.searchsorted(cat, cells, "left"), np.searchsorted(cat, cells, "right"), ids
 
     def lp_norm(self, p: float) -> float:
         """Grid L^p norm of sum(chi_T): (h^n * sum counts^p)^(1/p)."""
@@ -651,11 +632,12 @@ class FamilyRaster:
         """Sum over tube-index groups of ||sum over the group of chi_T||_p^p.
 
         Groups are summed in the order given, and a group listed again (the
-        same tubes in the same order) reuses its first value.  A group's
-        cell lists are sorted runs, so a stable sort merges them, and the
-        multiplicity of a cell is the length of its run in the merged list.
+        same tubes in the same order) reuses its first value.  The per-tube
+        cell lists are expanded from the kept runs for this call; a group's
+        lists are sorted, so a stable sort merges them, and the multiplicity
+        of a cell is the length of its run in the merged list.
         """
-        cells = self.require_tube_cells()
+        cells = _tube_cell_lists(self)
         powers: dict[tuple, float] = {}
         acc = 0.0
         for tubes in groups:
@@ -769,12 +751,13 @@ def _multilinear_values(rasters: list[FamilyRaster]) -> tuple[np.ndarray, np.nda
 
 
 def _candidate_lookup(raster: FamilyRaster, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`raster.lookup(cand)` for sorted cells `cand`, from the raster's kept
-    runs: only the (cell, tube) pairs on `cand` are kept, a batch of runs at
+    """(starts, ends, ids): the tubes containing cand[i] are
+    ids[starts[i]:ends[i]], in tube order, for sorted cells `cand`.  Only the
+    (cell, tube) pairs on `cand` are kept from the raster's runs, a batch at
     a time, and then sorted once, by cell and then by tube."""
     m, n = raster.grid.m, raster.grid.n
     parts = []
-    for a, tube, start, count in raster.require_tube_cells().runs:
+    for a, tube, start, count in raster.require_tube_cells():
         cells = _run_cells(start, count, np.full(tube.size, m ** (n - 1 - a)))
         hit = cand[np.minimum(np.searchsorted(cand, cells), cand.size - 1)] == cells
         parts.append((cells[hit], np.repeat(tube, count)[hit]))
@@ -1043,13 +1026,12 @@ def induction_step_terms(raster: FamilyRaster, rho: float) -> tuple[float, float
     term1 = rho^(-d/(d+1)) * delta^((1-d)/p') * (sum |T|)^(1/p)
     term2 = rho^((1-d)/p') * ( sum over coarse tubes of
             || sum over fine tubes inside of chi_T ||_p^p )^(1/p)
-    for the raster's family, with norms on the raster's grid.
+    for the raster's family, with norms on the raster's grid.  Needs
+    delta < rho/2 <= 1/4, the precondition of `coarsen_to_rho_tubes`.
     """
     F = raster.family
     delta, d = F.delta, F.d
     _check_cardinality(F)
-    if delta > rho / 2.0:
-        raise ValueError(f"need delta <= rho/2, got delta={delta}, rho={rho}")
     p_prime = F.p_prime
     p = F.p
 

@@ -232,9 +232,10 @@ def wedge_volume(vs) -> float:
 
 
 #: The most tuples whose wedges are evaluated at once: `tuple_wedges` refuses
-#: more, and the face-local multilinear sums evaluate their faces in chunks of
-#: at most this many.  The dichotomy's EXHAUSTIVE_BUDGET lies below it.  At
-#: the limit k = 3 takes a few 8 MiB temporaries, k = 4 a 128 MiB Gram stack.
+#: more, the face-local multilinear sums evaluate their faces in chunks of at
+#: most this many, and the dichotomy's exhaustive counts raise `BudgetError`
+#: above it.  At the limit k = 3 takes a few 8 MiB temporaries, k = 4 a
+#: 128 MiB Gram stack.
 WEDGE_TUPLE_LIMIT = 2**20
 
 

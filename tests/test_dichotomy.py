@@ -19,6 +19,7 @@ from tubelab.dichotomy import (
     verify_option_b,
 )
 from tubelab.linegeom import (
+    WEDGE_TUPLE_LIMIT,
     Direction,
     GeometryError,
     Subspace,
@@ -94,6 +95,12 @@ class TestCountSpreadTuples:
         U = DirectionMultiset(np.random.default_rng(0).normal(size=(110, 3)))
         with pytest.raises(BudgetError):
             count_spread_tuples(U, 3, 0.5)
+
+    def test_budget_is_the_wedge_tuple_limit(self):
+        # 101^3 = 1,030,301 tuples lie above 10^6 and below 2^20.
+        U = DirectionMultiset(np.random.default_rng(0).normal(size=(101, 3)))
+        assert 10**6 < len(U) ** 3 <= WEDGE_TUPLE_LIMIT
+        assert 0 < count_spread_tuples(U, 3, 0.5) < len(U) ** 3
 
 
 class TestDecideDichotomy:

@@ -108,6 +108,35 @@ class TestRegionCells:
         G = Grid(2, 1.0 / 16, 1.0)
         assert Region(G, [5.0, 1.0, 5.0]).cells.tolist() == [1, 5]
 
+    @pytest.mark.parametrize(
+        "points, match",
+        [
+            ([0.0, 5.0, -7.0], r"point 1 lies outside \[-1, 1\]\^1: \[5.0\]"),
+            ([-7.0, 5.0], r"point 0 lies outside \[-1, 1\]\^1: \[-7.0\]"),
+            ([0.5, np.nan, 5.0], r"point 1 is not finite: \[nan\]"),
+            ([np.inf], r"point 0 is not finite"),
+            ([np.nextafter(1.0, 2.0)], r"point 0 lies outside"),
+        ],
+    )
+    def test_points_outside_the_grid_rejected(self, points, match):
+        G = Grid(1, 2.0**-4, 1.0)
+        assert G.m == 32 and G.lo + G.m * G.h == 1.0
+        with pytest.raises(GeometryError, match=match):
+            Region.from_points(G, points)
+
+    def test_points_on_the_closed_box_faces(self):
+        G = Grid(1, 2.0**-4, 1.0)
+        assert Region.from_points(G, [1.0, -1.0, 0.0, np.nextafter(1.0, 0.0)]).cells.tolist() == [0, 16, 31]
+        G2 = Grid(2, 2.0**-4, 1.0)
+        assert Region.from_points(G2, [[1.0, -1.0], [-1.0, 1.0]]).cells.tolist() == [31, 31 * 32]
+        with pytest.raises(GeometryError, match=r"point 1 lies outside \[-1, 1\]\^2: \[0.0, 1.5\]"):
+            Region.from_points(G2, [[0.0, 0.0], [0.0, 1.5]])
+
+    @pytest.mark.parametrize("points", [[0.1, 0.2, 0.3], [[0.1, 0.2, 0.3]], [[[0.1, 0.2]]]])
+    def test_points_of_another_dimension_rejected(self, points):
+        with pytest.raises(GeometryError, match=r"points must have shape \(N, 2\)"):
+            Region.from_points(Grid(2, 2.0**-4, 1.0), points)
+
 
 class TestBoxCountingDim:
     def test_full_disk_two_dimensional(self):

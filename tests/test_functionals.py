@@ -222,6 +222,22 @@ class TestRasterization:
         np.testing.assert_array_equal(small.counts, big.counts)
         assert small.entries == big.entries
 
+    def test_family_above_per_tube_limit_refused_by_per_tube_evaluations(self, monkeypatch):
+        # Above the limit the raster keeps no runs: the multilinear sums and
+        # the two grouped norms refuse it, and the message names the limit.
+        F = suite_member("bush-n2").family(2.0**-4)
+        G = Grid.for_family(F, 4)
+        monkeypatch.setattr(functionals, "PER_TUBE_LIMIT", len(F) - 1)
+        raster = FamilyRaster.build(F, G)
+        assert raster.tube_cells is None
+        match = rf"at most PER_TUBE_LIMIT = {len(F) - 1} tubes"
+        with pytest.raises(GeometryError, match=match):
+            multilinear_cell_values([F, F], G)
+        with pytest.raises(GeometryError, match=match):
+            decompose_lp(raster, DECOMPOSE_RHO, 2, F.p)
+        with pytest.raises(GeometryError, match=match):
+            induction_step_terms(raster, DECOMPOSE_RHO)
+
     def test_dense_build_peak_is_the_field(self):
         # 2 x 2,001 axis-parallel tubes take the dense path; counting each
         # tube into the field in place keeps the peak at the field's size,
@@ -297,8 +313,9 @@ def count_paths(monkeypatch, F, G):
 
 
 def assert_rasters_exact(monkeypatch, F, G):
-    """rasterize_tube, per-tube cell lists and the counts of every count path
-    equal the exact test applied to every cell; returns the cell lists."""
+    """rasterize_tube, the per-tube cell lists expanded from the kept runs and
+    the counts of every count path equal the exact test applied to every
+    cell; returns the cell lists."""
     want = [exact_raster(G, T) for T in F.tubes]
     for i, (T, cells) in enumerate(zip(F.tubes, want)):
         np.testing.assert_array_equal(rasterize_tube(G, T), cells, err_msg=f"tube {i}")
@@ -309,10 +326,22 @@ def assert_rasters_exact(monkeypatch, F, G):
         assert raster.counts.dtype == counts.dtype and raster.entries == sum(c.size for c in want), path
         assert (raster.tube_cells is None) == (path == "field")
         if raster.tube_cells is not None:
-            assert len(raster.tube_cells) == len(want)
-            for got, cells in zip(raster.tube_cells, want):
+            lists = functionals._tube_cell_lists(raster)
+            assert len(lists) == len(want)
+            for got, cells in zip(lists, want):
                 np.testing.assert_array_equal(got, cells, err_msg=path)
     return want
+
+
+def reference_lookup(F, G, cells):
+    """(starts, ends, ids): the tubes of F containing cells[i] are
+    ids[starts[i]:ends[i]], in tube order, from the `exact_raster` cell list
+    of every tube: the reference for `_candidate_lookup`."""
+    lists = [exact_raster(G, T) for T in F.tubes]
+    cat = np.concatenate(lists) if lists else np.empty(0, dtype=np.int64)
+    order = np.argsort(cat, kind="stable")
+    cat, ids = cat[order], np.repeat(np.arange(len(lists)), [c.size for c in lists])[order]
+    return np.searchsorted(cat, cells, "left"), np.searchsorted(cat, cells, "right"), ids
 
 
 class TestRunEdges:
@@ -454,8 +483,9 @@ class TestBatchIndependence:
             np.testing.assert_array_equal(got[path].counts, raster.counts, err_msg=path)
             assert got[path].entries == raster.entries, path
             if raster.tube_cells is not None:
+                got_lists, want_lists = (functionals._tube_cell_lists(r) for r in (got[path], raster))
                 for j, i in enumerate(perm):
-                    np.testing.assert_array_equal(got[path].tube_cells[j], raster.tube_cells[i], err_msg=path)
+                    np.testing.assert_array_equal(got_lists[j], want_lists[i], err_msg=path)
 
 
 class TestLpNorm:
@@ -598,7 +628,8 @@ class TestMultilinear:
 
 def per_cell_values(rasters):
     """The per-cell multilinear loop: every candidate cell looks up its
-    tubes per slot and sums its own block of the wedge table."""
+    tubes per slot in `reference_lookup` and sums its own block of the wedge
+    table."""
     if len({id(r) for r in rasters}) == 1:
         cand = rasters[0].occ[rasters[0].counts >= 2]
     else:
@@ -608,7 +639,7 @@ def per_cell_values(rasters):
     if cand.size == 0:
         return cand, np.zeros(0)
     W = tuple_wedges([r.family.direction_matrix() for r in rasters])
-    lookups = [r.lookup(cand) for r in rasters]
+    lookups = [reference_lookup(r.family, r.grid, cand) for r in rasters]
     vals = np.zeros(cand.size)
     for i in range(cand.size):
         subs = [ids[s[i] : e[i]] for (s, e, ids) in lookups]
@@ -679,8 +710,13 @@ class TestFaceSums:
         ref_cells, ref_vals = per_cell_values(rasters)
         assert np.array_equal(cells, ref_cells) and np.array_equal(vals, ref_vals)
 
+        # The pairs kept on the candidate cells are those of the reference.
+        lookups = [reference_lookup(r.family, G, cells) for r in built.values()]
+        for r, (starts, ends, ids) in zip(built.values(), lookups):
+            got_starts, got_ends, got_ids = functionals._candidate_lookup(r, cells)
+            np.testing.assert_array_equal(got_ends - got_starts, ends - starts)
+            np.testing.assert_array_equal(got_ids, np.concatenate([ids[a:b] for a, b in zip(starts, ends)]))
         # The dedup path runs: fewer distinct faces than cells.
-        lookups = [r.lookup(cells) for r in built.values()]
         faces = {tuple(ids[s[i] : e[i]].tobytes() for s, e, ids in lookups) for i in range(cells.size)}
         assert 1 < len(faces) < cells.size
 
@@ -715,8 +751,7 @@ class TestChunkedFaceSums:
     @staticmethod
     def face_tuples(fams, G, cells):
         """Tuples of each cell's face: the product over slots of its tubes."""
-        built = {}
-        lookups = [built.setdefault(id(f), FamilyRaster.build(f, G)).lookup(cells) for f in fams]
+        lookups = [reference_lookup(f, G, cells) for f in fams]
         return np.prod([e - s for s, e, _ in lookups], axis=0)
 
     @pytest.mark.parametrize("case", ["bush-n2", "axes-n3-k3", "mixed-AAB", "n4-k4"])
@@ -762,8 +797,7 @@ class TestChunkedFaceSums:
         fams = TestFaceSums.slot_families(case)
         G = Grid.for_family(fams[0], 4)
         cells, _ = multilinear_cell_values(fams, G)
-        built = {}
-        lookups = [built.setdefault(id(f), FamilyRaster.build(f, G)).lookup(cells) for f in fams]
+        lookups = [reference_lookup(f, G, cells) for f in fams]
         sizes = np.stack([e - s for s, e, _ in lookups], axis=1)
         big = sizes[np.argmax(sizes.prod(axis=1))].tolist()
         monkeypatch.setattr(linegeom, "WEDGE_TUPLE_LIMIT", math.prod(big) - 1)
@@ -776,11 +810,13 @@ class TestChunkedFaceSums:
 class TestGroupedLpPower:
     @staticmethod
     def per_group_unique(raster, groups, p):
-        cells = raster.tube_cells
+        """The grouped sum by `np.unique` over each group's `exact_raster` cells."""
+        G = raster.grid
+        cells = [exact_raster(G, T) for T in raster.family.tubes]
         acc = 0.0
         for tubes in groups:
             _, counts = np.unique(np.concatenate([cells[t] for t in tubes]), return_counts=True)
-            acc += float(np.sum(counts.astype(float) ** p)) * raster.grid.cell_volume
+            acc += float(np.sum(counts.astype(float) ** p)) * G.cell_volume
         return acc
 
     def test_random_groups_equal_per_group_unique(self):
@@ -907,8 +943,7 @@ class TestCoarsening:
         rho, p = 0.25, 2.0
         F = generic_family(rng, 3, delta, 60)
         G = Grid.for_family(F, 4)
-        raster = FamilyRaster.build(F, G)
-        cells = raster.tube_cells
+        cells = functionals._tube_cell_lists(FamilyRaster.build(F, G))
         from tubelab.linegeom import build_cap_cover
 
         cover = build_cap_cover(3, rho)
@@ -1058,6 +1093,15 @@ class TestCalculationChain:
 
 
 class TestInductionStep:
+    @pytest.mark.parametrize("ratio", [2.0, 1.5])
+    def test_scale_precondition_is_the_coarsenings(self, ratio):
+        # rho = 2 delta passes no check of its own: the coarsening's strict
+        # delta < rho/2 is the one rule.
+        F = suite_member("bush-n2").family(2.0**-4)
+        raster = FamilyRaster.build(F, Grid.for_family(F, 4))
+        with pytest.raises(ValueError, match=r"need delta < rho/2, got delta=0.0625, rho="):
+            induction_step_terms(raster, ratio * F.delta)
+
     def test_single_tube_terms(self):
         delta = 2.0**-5
         F = family([Tube([0.0, 0.0], Direction([1.0, 0.0]), delta)], delta, 2)

@@ -115,3 +115,19 @@ def test_every_counter_reads_a_real_result():
         bumped = {k: v for k, v in counters.items() if k not in ZERO_ON_TINY_INPUT}
         assert all(v > 0 for v in bumped.values()), (targets[0], dict(counters))
         assert all(sets.values()), (targets[0], dict(sets))
+
+
+def test_dense_build_counter_reads_a_field_only_build(monkeypatch):
+    """A family above PER_TUBE_LIMIT keeps no runs (`tube_cells is None`),
+    which the dense build counter reads."""
+    from tubelab import functionals
+
+    spans = _spans()
+    target = "functionals.FamilyRaster.build"
+    counter = next(c for _, targets, c in spans.HOOKS if targets[0] == target)
+    args = _tiny_calls()[target]
+    monkeypatch.setattr(functionals, "PER_TUBE_LIMIT", len(args[0]) - 1)
+    fn = _resolve(target)
+    counters, sets = defaultdict(float), defaultdict(set)
+    counter(counters, sets, spans._Arguments(inspect.signature(fn), args, {}), fn(*args), None)
+    assert counters["functionals.raster_dense_builds"] == 1
