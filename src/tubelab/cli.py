@@ -14,13 +14,14 @@ factor of 2, and `freeze` writes them from a set of reports.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import numbers
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,7 @@ from .dimension import (
 )
 from .functionals import Grid
 from .generators import IncompleteFamilyError, cantor_offsets, gen_lines_in_planes
-from .linegeom import Direction, Line
+from .linegeom import WEDGE_TUPLE_LIMIT, Direction, Line
 from .suites import (
     DECOMPOSE_DELTAS,
     DECOMPOSE_RHO,
@@ -117,9 +118,8 @@ def _check_param(key: str, value, default, sc: Scenario) -> None:
         count, why = sc.fewest.get(name, (1, ""))
         if len(value) < count:
             raise ConfigError(f"{key} must hold at least {count} entries ({why}), got {value!r}")
-    elif isinstance(default, int):
-        if not _is_integral(value) or value < 1:
-            raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+    elif isinstance(default, int) and (not _is_integral(value) or value < 1):
+        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
     elif isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
         raise ConfigError(f"{key} must be a number > 0, got {value!r}")
     elif name in sc.most and value > sc.most[name][0]:
@@ -185,19 +185,12 @@ class ExperimentConfig:
                     f"members must be \"all\" or a non-empty list of suite members, "
                     f"got {members!r}; known members: {known}"
                 )
+        sc.joint(self.resolved_params())
 
     def resolved_params(self) -> dict:
         out = dict(SCENARIOS[self.scenario].defaults)
         out.update(self.params)
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "params": self.params,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -251,6 +244,11 @@ class ExperimentReport:
 
 def _check(name: str, passed: bool, value, bound) -> dict:
     return {"name": name, "passed": bool(passed), "value": value, "bound": bound}
+
+
+def _tag(entry: dict) -> str:
+    """The key of a sharpness `configs` or dimension `families` entry in its values and checks."""
+    return f"n{int(entry['n'])}d{int(entry['d'])}"
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +422,7 @@ def _run_dimension(params: dict, seed: int):
     G = Grid(2, disk_h, 1.0)
     centers = G.centers_of_linear(np.arange(G.m**2))
     disk = Region(G, np.nonzero(np.linalg.norm(centers, axis=1) <= 1.0)[0])
-    fit = box_counting_dim(disk, [2.0**-j for j in range(1, 6)])
+    fit = box_counting_dim(disk, _DISK_BOX_SCALES)
     values["disk_dim"] = fit.slope
     checks.append(_check("disk_dim", abs(fit.slope - 2.0) <= 0.1, fit.slope, "2 +- 0.1"))
 
@@ -447,7 +445,7 @@ def _run_dimension(params: dict, seed: int):
         F = gen_lines_in_planes(n, d, beta, dl, size_cap=400_000)
         Gf = Grid.for_family(F, factor=4)
         rep = holder_comparison(F, Gf, F.p)
-        tag = f"n{n}d{d}"
+        tag = _tag(fam_cfg)
         values[f"deficit[{tag}]"] = rep.exponent_deficit
         values[f"dim_fit[{tag}]"] = rep.dim_fit
         constants[f"dim_fit[{tag}]"] = rep.dim_fit
@@ -472,7 +470,7 @@ def _run_sharpness(params: dict, seed: int):
             scales, p, grid_factor=factor,
         )
         target = (1.0 - d) / (d + beta)
-        tag = f"n{n}d{d}"
+        tag = _tag(cfg)
         values[f"slope[{tag}]"] = fit.slope
         values[f"residual[{tag}]"] = fit.residual
         values[f"fit_table[{tag}]"] = [
@@ -500,10 +498,38 @@ class Scenario:
     #: fewest entries of a list and the largest value of a number.
     fewest: dict = field(default_factory=dict)
     most: dict = field(default_factory=dict)
+    #: Rules on several params at once, run on the resolved params at load.
+    joint: object = lambda params: None
 
 
-#: The Cantor offsets of every planes family need beta in (0, 1].
-_BETA_RANGE = {"beta": (1.0, "beta lies in (0, 1]")}
+def _one_entry_per_tag(key: str):
+    """A joint rule: no two entries of the list param `key` share a tag."""
+    def check(params: dict) -> None:
+        tags = [_tag(entry) for entry in params[key]]
+        for i, tag in enumerate(tags):
+            if tag in tags[:i]:
+                raise ConfigError(f"{key}[{tags.index(tag)}] and {key}[{i}] share the tag {tag}; one entry per (n, d)")
+    return check
+
+
+def _deltas_against_rho(rule: str, holds):
+    """A joint rule: holds(delta, rho) for every entry of `deltas`; `rule` names it."""
+    def check(params: dict) -> None:
+        for i, dl in enumerate(params["deltas"]):
+            if not holds(dl, params["rho"]):
+                raise ConfigError(f"deltas[{i}] must be {rule}, got {dl!r} with rho = {params['rho']!r}")
+    return check
+
+
+#: Shared ranges: the Cantor offsets of every planes family need beta in
+#: (0, 1], and tube families, Cantor sets and ball nets need their scale in
+#: (0, 1/2].  A dichotomy trial draws k <= n <= 3 and wedges N^k tuples of its
+#: N directions, so N^3 may not exceed WEDGE_TUPLE_LIMIT.  The dimension
+#: scenario box-counts its disk at _DISK_BOX_SCALES.
+_BETA = (1.0, "beta lies in (0, 1]")
+_SCALE = (0.5, "a scale lies in (0, 1/2]")
+_MOST_DIRECTIONS = (next(N for N in itertools.count() if (N + 1) ** 3 > WEDGE_TUPLE_LIMIT), "N^3 <= WEDGE_TUPLE_LIMIT")
+_DISK_BOX_SCALES = [2.0**-j for j in range(1, 6)]
 
 
 SCENARIOS: dict[str, Scenario] = {
@@ -511,12 +537,13 @@ SCENARIOS: dict[str, Scenario] = {
         _run_dichotomy,
         "randomized spread/concentrate certificates with exhaustive verification",
         {"trials": 500, "rhos": [0.05, 0.1, 0.3], "max_directions": 12},
-        most={"rhos": (1.0, "rho lies in (0, 1]")},
+        most={"rhos": (1.0, "rho lies in (0, 1]"), "max_directions": _MOST_DIRECTIONS},
     ),
     "kakeya": Scenario(
         _run_kakeya,
         "multilinear transversality norm ratios over the standard suite",
         {"deltas": list(MK_DELTAS), "grid_factor": 4, "members": "all"},
+        most={"deltas": _SCALE},
     ),
     "decompose": Scenario(
         _run_decompose,
@@ -527,7 +554,8 @@ SCENARIOS: dict[str, Scenario] = {
             "grid_factor": 4,
             "members": "all",
         },
-        most={"rho": (1.0, "a cap diameter lies in (0, 1]")},
+        most={"deltas": _SCALE, "rho": (1.0, "a cap diameter lies in (0, 1]")},
+        joint=_deltas_against_rho("at most rho", lambda dl, rho: dl <= rho),
     ),
     "induction": Scenario(
         _run_induction,
@@ -539,11 +567,13 @@ SCENARIOS: dict[str, Scenario] = {
             "members": "all",
         },
         most={"rho": (0.5, "a coarsening radius above 1/2 is not supported")},
+        joint=_deltas_against_rho("below rho/2 (the coarsening's scale condition)", lambda dl, rho: dl < rho / 2),
     ),
     "thin": Scenario(
         _run_thin,
         "random thinning: size and ball condition across seeds, plus the exact binomial case",
         {"n_lines": 1024, "delta": 2.0**-12, "seeds": 20, "binomial_trials": 10_000},
+        most={"delta": _SCALE},
     ),
     "dimension": Scenario(
         _run_dimension,
@@ -556,7 +586,9 @@ SCENARIOS: dict[str, Scenario] = {
                 {"n": 3, "d": 2, "beta": 1.0, "delta": 2.0**-5},
             ],
         },
-        most=_BETA_RANGE,
+        most={"beta": _BETA, "cantor_delta": _SCALE, "delta": _SCALE,
+              "disk_h": (min(_DISK_BOX_SCALES), "the disk's grid step is at most its smallest box scale")},
+        joint=_one_entry_per_tag("families"),
     ),
     "sharpness": Scenario(
         _run_sharpness,
@@ -569,7 +601,8 @@ SCENARIOS: dict[str, Scenario] = {
             ],
         },
         fewest={"scales": (3, "an exponent fit needs at least 3 scales")},
-        most=_BETA_RANGE,
+        most={"beta": _BETA, "scales": _SCALE},
+        joint=_one_entry_per_tag("configs"),
     ),
 }
 
@@ -584,7 +617,7 @@ def run_scenario(cfg: ExperimentConfig) -> ExperimentReport:
         "version": __version__,
         "name": cfg.name,
         "scenario": cfg.scenario,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "values": values,
         "constants": constants,
         "checks": checks,
@@ -620,9 +653,7 @@ def load_golden() -> dict:
 
 
 def freeze(reports: list[ExperimentReport]) -> Path:
-    golden = {}
-    if golden_path().exists():
-        golden = json.loads(golden_path().read_text())
+    golden = load_golden() if golden_path().exists() else {}
     for rep in reports:
         golden[rep.payload["name"]] = rep.payload["constants"]
     golden_dir().mkdir(parents=True, exist_ok=True)
@@ -791,11 +822,8 @@ def main(argv=None) -> int:
 
     reports = []
     for path in args.reports:
-        if path.is_dir():
-            for f in sorted(path.glob("*.json")):
-                reports.append(ExperimentReport.from_json(f.read_text()))
-        else:
-            reports.append(ExperimentReport.from_json(path.read_text()))
+        for f in sorted(path.glob("*.json")) if path.is_dir() else [path]:
+            reports.append(ExperimentReport.from_json(f.read_text()))
     if not reports:
         print("no reports found", file=sys.stderr)
         return 2

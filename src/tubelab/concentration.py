@@ -41,7 +41,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .linegeom import Direction, GeometryError, Line, SphereNet, row_labels, sorted_distinct
+from .linegeom import Direction, GeometryError, Line, SphereNet, _ragged, row_labels, sorted_distinct
 
 
 class ThinningError(RuntimeError):
@@ -57,6 +57,9 @@ def concentration_exponent(d: int, beta: float) -> float:
 
 
 def _line_arrays(lines) -> tuple[np.ndarray, np.ndarray]:
+    """(feet, dirs) of a line set as (N, n) arrays; an empty set is refused."""
+    if len(lines) == 0:
+        raise GeometryError("need a non-empty line set")
     feet = np.array([l.x for l in lines])
     dirs = np.array([l.u.u for l in lines])
     return feet, dirs
@@ -194,8 +197,7 @@ class BallNet:
         los = np.ceil((y - budget) / g[:, None] - 1e-9).astype(np.int64)
         sides = np.maximum(np.floor((y + budget) / g[:, None] + 1e-9).astype(np.int64) - los + 1, 0)
         size = sides.prod(axis=1)
-        pair_of = np.repeat(np.arange(size.size), size)
-        t = np.arange(pair_of.size) - np.repeat(np.cumsum(size) - size, size)
+        pair_of, t = _ragged(size)
         j = np.empty((pair_of.size, self.n - 1), dtype=np.int64)
         for c in range(self.n - 2, -1, -1):
             j[:, c] = los[pair_of, c] + t % sides[pair_of, c]
@@ -272,10 +274,8 @@ def ball_condition_worst_ratio(F, net: BallNet) -> float:
 
 
 def worst_ratio_of_lines(lines, delta: float, d: int, beta: float, net: BallNet) -> float:
-    if len(lines) == 0:
-        raise GeometryError("ball condition needs a non-empty line set")
-    s = concentration_exponent(d, beta)
     feet, dirs = _line_arrays(lines)
+    s = concentration_exponent(d, beta)
     worst = 0.0
     for r in net.radii:
         count, _ = net.scan(r, feet, dirs)
@@ -291,8 +291,6 @@ def check_ball_condition(
 
     Returns (ok, (radius, key, count, bound)) with the worst violation if any.
     """
-    if len(lines) == 0:
-        raise GeometryError("ball condition needs a non-empty line set")
     feet, dirs = _line_arrays(lines)
     return _check_kept(net, feet, dirs, None, len(lines), delta, concentration_exponent(d, beta))
 
@@ -352,12 +350,11 @@ def _thinning_inputs(L3, A: float, C0: float, eps: float, delta: float, d: int, 
     """(lines, q, s, feet, dirs) of a thinning of L3 at probability
     q = delta^(2 eps)/(C0 A) and ball exponent s."""
     L3 = list(L3)
-    if not L3:
-        raise GeometryError("random thinning needs a non-empty line set")
+    feet, dirs = _line_arrays(L3)
     q = delta ** (2.0 * eps) / (C0 * A)
     if not 0.0 < q <= 1.0 + 1e-12:
         raise ValueError(f"selection probability {q} outside (0, 1]")
-    return (L3, min(q, 1.0), concentration_exponent(d, beta), *_line_arrays(L3))
+    return L3, min(q, 1.0), concentration_exponent(d, beta), feet, dirs
 
 
 def _accepts(net: BallNet, feet, dirs, mask, q: float, delta: float, s: float):

@@ -72,7 +72,6 @@ class DichotomyResult:
 
     variant: str  # "A" or "B"
     good_tuple_count: int | None = None
-    threshold_used: float | None = None
     witness: Subspace | None = None
     captured_count: int | None = None
     degenerate_index: int | None = None  # j* of variant B
@@ -145,9 +144,7 @@ def decide_dichotomy(U: DirectionMultiset, k: int, rho: float) -> DichotomyResul
 
     spread = int(np.count_nonzero(wedges[k] >= rho ** (k - 1)))
     if 2 * spread >= N**k:
-        result = DichotomyResult(
-            variant="A", good_tuple_count=spread, threshold_used=rho ** (k - 1)
-        )
+        result = DichotomyResult(variant="A", good_tuple_count=spread)
         if not verify_option_a(U, k, rho, spread):
             raise UncertifiedDichotomyError(
                 f"option A failed re-verification (count {spread} of {N ** k})"

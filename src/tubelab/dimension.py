@@ -201,16 +201,12 @@ class HolderReport:
     exponent_deficit: float
     mass_lhs: float
     holder_rhs: float
-    norm_p: float
-    region_volume: float
     dim_fit: float
     chain_holds: bool
 
 
 def holder_comparison(F: TubeFamily, G: Grid, p: float) -> HolderReport:
     """Evaluate the duality chain for the family's own exponent p = (d+b)/(d+b-1)."""
-    if F.beta <= 0:
-        raise ValueError("beta must be positive; replace d by d-1 and beta by 1")
     if abs(p - F.p) > 1e-9:
         raise ValueError(f"p must equal (d+beta)/(d+beta-1) = {F.p}, got {p}")
     G.check_resolves(F)
@@ -232,8 +228,6 @@ def holder_comparison(F: TubeFamily, G: Grid, p: float) -> HolderReport:
         exponent_deficit=float(dim_fit - (F.d + F.beta)),
         mass_lhs=mass_lhs,
         holder_rhs=float(holder_rhs),
-        norm_p=norm_p,
-        region_volume=region_volume,
         dim_fit=float(dim_fit),
         chain_holds=bool(chain_holds),
     )

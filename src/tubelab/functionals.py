@@ -44,8 +44,10 @@ from .linegeom import (
     Line,
     Tube,
     _complete_unit_rows,
+    _ragged,
     build_cap_cover,
     gram_wedges,
+    lattice_points,
     line_of_tube,
     row_labels,
     rowdot,
@@ -136,11 +138,8 @@ class TubeFamily:
     def direction_matrix(self) -> np.ndarray:
         return np.stack([t.direction.u for t in self.tubes]) if self.tubes else np.zeros((0, self.n))
 
-    def volumes(self) -> np.ndarray:
-        return np.array([t.volume() for t in self.tubes])
-
     def sum_volume(self) -> float:
-        return float(self.volumes().sum())
+        return float(np.array([t.volume() for t in self.tubes]).sum())
 
     def lines(self) -> list[Line]:
         return [line_of_tube(t) for t in self.tubes]
@@ -357,13 +356,6 @@ def _batch_runs(grid: Grid, axes, c, u, length, r):
     for k, ax in enumerate(others):
         start += row_cells[k, run_row] * m ** (n - 1 - ax)
     return tube[run_row], start, run_last - run_first + 1
-
-
-def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, j): for each of sum(counts) slots, its row and its place 0 <= j <
-    counts[row] inside the row, row by row."""
-    row = np.repeat(np.arange(counts.size), counts)
-    return row, np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def _kept_runs(row: np.ndarray, pos: np.ndarray, kept: np.ndarray):
@@ -877,9 +869,7 @@ def coarsen_to_rho_tubes(F: TubeFamily, rho: float) -> RhoCoarsening:
     # The candidates of one (tube, cap) pair: axial shifts -1, 0, 1 from the
     # nearest unit lattice point, each with the 3^(n-1) transverse offsets
     # from the nearest rho/4 lattice point, in the order keys are numbered.
-    box = np.stack(
-        np.meshgrid(*([np.arange(-1, 2)] * (n - 1)), indexing="ij"), axis=-1
-    ).reshape(-1, n - 1)
+    box = lattice_points(np.arange(-1, 2), n - 1)
     shifts = np.repeat(np.arange(-1, 2), len(box))
     offsets = np.tile(box, (3, 1))
     bases = _complete_unit_rows(cover.center_matrix)[:, 1:]
@@ -939,13 +929,11 @@ class ChainReport:
     """
 
     lines: tuple[float, ...]
-    adjacent_ratios: tuple[float, ...]
     pointwise_step_ok: bool
     multilinear_constant: float
     regroup_equal: bool
     cardinality_step_ok: bool
     simplify_equal: bool
-    volume_factor: float
 
 
 def _check_cardinality(F: TubeFamily) -> None:
@@ -961,12 +949,10 @@ def calculation_chain(F: TubeFamily, G: Grid) -> ChainReport:
     Requires #tubes <= delta^(2(1-d) - beta) and beta > 0.
     """
     delta, n, d, beta = F.delta, F.n, F.d, F.beta
-    if beta <= 0.0:
-        raise ValueError("beta must be positive here; replace d by d-1 and beta by 1")
-    _check_cardinality(F)
-    raster = FamilyRaster.build(F, G)
     p_prime = F.p_prime
     p = F.p
+    _check_cardinality(F)
+    raster = FamilyRaster.build(F, G)
     k = d + 1
 
     _, M = _multilinear_values([raster] * k)
@@ -988,12 +974,6 @@ def calculation_chain(F: TubeFamily, G: Grid) -> ChainReport:
     v6 = float(delta ** (p * (1.0 - d) / p_prime) * sumT)
 
     lines = (v1, v2, v3, v4, v5, v6)
-    ratios = tuple(
-        (lines[i] / lines[i + 1])
-        if lines[i + 1] > 0
-        else (1.0 if lines[i] == 0 else math.inf)
-        for i in range(5)
-    )
     # Pointwise bound: the integrand never exceeds (#T)^(d+1), so line 1 <=
     # line 2 exactly on the grid.
     pointwise_ok = v1 <= v2 * (1.0 + 1e-9)
@@ -1010,13 +990,11 @@ def calculation_chain(F: TubeFamily, G: Grid) -> ChainReport:
     simplify_equal = v6 > 0 and abs(v5 / v6 - 1.0) <= 0.01
     return ChainReport(
         lines=lines,
-        adjacent_ratios=ratios,
         pointwise_step_ok=bool(pointwise_ok),
         multilinear_constant=float(mk_constant),
         regroup_equal=bool(regroup_equal),
         cardinality_step_ok=bool(cardinality_ok),
         simplify_equal=bool(simplify_equal),
-        volume_factor=float(vol_factor),
     )
 
 

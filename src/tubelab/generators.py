@@ -20,7 +20,9 @@ import numpy as np
 
 from .concentration import BallNet, IncrementalBallCounter
 from .functionals import TubeFamily
-from .linegeom import Direction, GeometryError, Line, SphereNet, Tube, build_cap_cover, complete_orthonormal
+from .linegeom import (
+    Direction, GeometryError, Line, SphereNet, Tube, build_cap_cover, complete_orthonormal, lattice_points,
+)
 
 #: Transverse span occupied by generated configurations, chosen so that unit
 #: segments stay inside B(0,1).
@@ -79,11 +81,7 @@ def gen_lines_in_planes(
             "use a larger delta"
         )
 
-    if d == 1:
-        foot_grid = np.zeros((1, 0))
-    else:
-        mesh = np.meshgrid(*([feet_1d] * (d - 1)), indexing="ij")
-        foot_grid = np.stack([g.ravel() for g in mesh], axis=1)
+    foot_grid = lattice_points(feet_1d, d - 1)
     tubes: list[Tube] = []
     for u_plane in plane_dirs:
         direction = np.zeros(n)
@@ -94,8 +92,7 @@ def gen_lines_in_planes(
             base = np.zeros(n)
             base[d] = off
             for coeffs in foot_grid:
-                foot = base + (coeffs @ foot_basis if coeffs.size else 0.0)
-                tubes.append(Tube(foot, direction, delta))
+                tubes.append(Tube(base + coeffs @ foot_basis, direction, delta))
     return TubeFamily(tubes, delta, n, d, beta)
 
 
@@ -194,8 +191,7 @@ def gen_axes(n: int, k: int, delta: float, per_family_count: int) -> list[TubeFa
     m = max(int(math.ceil(per_family_count ** (1.0 / (n - 1)))), 1)
     spacing = 2.0 * 0.3 / max(m - 1, 1)
     coords = (np.arange(m) - (m - 1) / 2.0) * (spacing if m > 1 else 1.0)
-    mesh = np.meshgrid(*([coords] * (n - 1)), indexing="ij")
-    lattice = np.stack([g.ravel() for g in mesh], axis=1)[:per_family_count]
+    lattice = lattice_points(coords, n - 1)[:per_family_count]
     families = []
     for i in range(k):
         other = [ax for ax in range(n) if ax != i]

@@ -16,6 +16,7 @@ scenarios in processes, and each process builds its own nets.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -114,12 +115,6 @@ class Line:
             raise GeometryError("foot point is not orthogonal to the direction")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "x", _as_readonly(p))
-
-    @classmethod
-    def through(cls, point, direction) -> "Line":
-        """The line through `point` with the given direction."""
-        d = direction if isinstance(direction, Direction) else Direction(direction)
-        return cls(d, point)
 
     @property
     def n(self) -> int:
@@ -341,7 +336,7 @@ def point_in_tube(T: Tube, p) -> bool:
 
 def line_of_tube(T: Tube) -> Line:
     """The line coaxial with T (foot point recomputed from the segment center)."""
-    return Line.through(T.segment_center, T.direction)
+    return Line(T.direction, T.segment_center)
 
 
 def complete_orthonormal(rows, n: int) -> np.ndarray:
@@ -429,6 +424,19 @@ def row_labels(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     labels = np.empty(len(rows), dtype=np.int64)
     labels[order] = np.cumsum(new) - 1
     return labels, order[new]
+
+
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, j): for each of sum(counts) slots, its row and its place 0 <= j <
+    counts[row] inside the row, row by row."""
+    row = np.repeat(np.arange(counts.size), counts)
+    return row, np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def lattice_points(coords: np.ndarray, m: int) -> np.ndarray:
+    """The points of coords^m as rows in row-major order (the last
+    coordinate varies fastest), shape (len(coords)^m, m); one empty row for m = 0."""
+    return np.array(list(itertools.product(coords.tolist(), repeat=m)))
 
 
 def _runs(spans) -> np.ndarray:

@@ -81,11 +81,28 @@ class TestConfig:
         ExperimentConfig("x", "dimension", params={"families": [{"n": 2.0, "d": 1, "beta": 1, "delta": 0.0625}]})
 
     def test_params_at_their_range_ends_accepted(self):
-        ExperimentConfig("x", "dichotomy", params={"rhos": [1.0]})
+        ExperimentConfig("x", "dichotomy", params={"rhos": [1.0], "max_directions": 101})
         ExperimentConfig("x", "decompose", params={"rho": 1.0})
+        ExperimentConfig("x", "decompose", params={"deltas": [0.5], "rho": 0.5})
         ExperimentConfig("x", "induction", params={"rho": 0.5})
-        ExperimentConfig("x", "dimension", params={"families": [{"n": 2, "d": 1, "beta": 1.0, "delta": 0.0625}]})
-        ExperimentConfig("x", "sharpness", params={"configs": [{"n": 2, "d": 1, "beta": 1, "scales": [0.25, 0.125, 0.0625]}]})
+        ExperimentConfig("x", "induction", params={"deltas": [0.0625], "rho": 0.13})
+        ExperimentConfig("x", "kakeya", params={"deltas": [0.5]})
+        ExperimentConfig("x", "thin", params={"delta": 0.5})
+        ExperimentConfig("x", "dimension", params={"cantor_delta": 0.5, "disk_h": 2.0**-5})
+        ExperimentConfig("x", "dimension", params={"families": [{"n": 2, "d": 1, "beta": 1.0, "delta": 0.5}]})
+        ExperimentConfig("x", "sharpness", params={"configs": [{"n": 2, "d": 1, "beta": 1, "scales": [0.5, 0.25, 0.125]}]})
+
+    def test_range_keys_name_params(self):
+        """Every key of a scenario's `fewest` and `most` names one of its
+        params at some depth of its defaults, so none is silently unused."""
+
+        def names(value) -> set:
+            if isinstance(value, dict):
+                return set(value) | {n for v in value.values() for n in names(v)}
+            return {n for v in value for n in names(v)} if isinstance(value, list) else set()
+
+        for scenario, sc in SCENARIOS.items():
+            assert set(sc.fewest) | set(sc.most) <= names(sc.defaults), scenario
 
     @pytest.mark.parametrize("name", ["quick.json", "standard.json"])
     def test_shipped_configs_load(self, name):
@@ -204,12 +221,18 @@ class TestMain:
 
     @pytest.mark.parametrize("parallel", [[], ["--parallel"]])
     def test_scenario_error_exits_two_with_one_line(self, tmp_path, capsys, parallel):
-        thin = {"name": "thin0", "scenario": "thin", "seed": 0, "params": {"delta": 0.75}}
-        cfg = self._config_file(tmp_path, [QUICK_DICHOTOMY, thin])
+        # The planes generator's tube cap depends on n, d, beta and the scale
+        # jointly, so it is checked when the scenario runs.
+        config = {"n": 3, "d": 2, "beta": 1.0, "scales": [2.0**-7, 2.0**-6, 2.0**-5]}
+        sharp = {"name": "sharp0", "scenario": "sharpness", "seed": 0, "params": {"configs": [config]}}
+        cfg = self._config_file(tmp_path, [QUICK_DICHOTOMY, sharp])
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), *parallel]) == 2
         err = capsys.readouterr().err
-        assert err == "error in scenario thin0: ball-net scale must lie in (0, 1/2], got 0.75\n"
+        assert err == (
+            "error in scenario sharp0: planes generator would produce ~1474560 tubes (cap 400000); "
+            "use a larger delta\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("param", ["n_lines", "seeds", "binomial_trials"])
@@ -384,19 +407,62 @@ class TestMain:
                 "rho must be at most 0.5 (a coarsening radius above 1/2 is not supported), got 0.75",
             ),
             ("dichotomy", {"rhos": [0.1, 1.5]}, "rhos[1] must be at most 1.0 (rho lies in (0, 1]), got 1.5"),
+            ("kakeya", {"deltas": [0.75]}, "deltas[0] must be at most 0.5 (a scale lies in (0, 1/2]), got 0.75"),
+            (
+                "sharpness",
+                {"configs": [{"n": 2, "d": 1, "beta": 1.0, "scales": [1.0, 0.5, 0.25]}]},
+                "configs[0].scales[0] must be at most 0.5 (a scale lies in (0, 1/2]), got 1.0",
+            ),
+            ("thin", {"delta": 0.75}, "delta must be at most 0.5 (a scale lies in (0, 1/2]), got 0.75"),
+            ("dimension", {"cantor_delta": 0.75}, "cantor_delta must be at most 0.5 (a scale lies in (0, 1/2]), got 0.75"),
+            (
+                "dimension",
+                {"families": [{"n": 2, "d": 1, "beta": 1.0, "delta": 0.75}]},
+                "families[0].delta must be at most 0.5 (a scale lies in (0, 1/2]), got 0.75",
+            ),
+            (
+                "dimension",
+                {"disk_h": 0.1},
+                "disk_h must be at most 0.03125 (the disk's grid step is at most its smallest box scale), got 0.1",
+            ),
+            ("decompose", {"deltas": [0.5], "rho": 0.25}, "deltas[0] must be at most rho, got 0.5 with rho = 0.25"),
+            (
+                "induction",
+                {"deltas": [0.0625], "rho": 0.125},
+                "deltas[0] must be below rho/2 (the coarsening's scale condition), got 0.0625 with rho = 0.125",
+            ),
+            ("dichotomy", {"max_directions": 200}, "max_directions must be at most 101 (N^3 <= WEDGE_TUPLE_LIMIT), got 200"),
+            (
+                "sharpness",
+                {"configs": [{"n": 2, "d": 1, "beta": b, "scales": [0.25, 0.125, 0.0625]} for b in (1.0, 0.5)]},
+                "configs[0] and configs[1] share the tag n2d1; one entry per (n, d)",
+            ),
+            (
+                "dimension",
+                {"families": [{"n": 2, "d": 1, "beta": b, "delta": 0.0625} for b in (1.0, 0.5)]},
+                "families[0] and families[1] share the tag n2d1; one entry per (n, d)",
+            ),
         ],
-        ids=["two-scales", "sharpness-beta", "dimension-beta", "decompose-rho", "induction-rho", "dichotomy-rhos"],
+        ids=[
+            "two-scales", "sharpness-beta", "dimension-beta", "decompose-rho", "induction-rho", "dichotomy-rhos",
+            "kakeya-deltas", "sharpness-scales", "thin-delta", "cantor-delta", "families-delta", "disk-h",
+            "decompose-deltas-rho", "induction-deltas-rho", "dichotomy-max-directions", "sharpness-tags",
+            "dimension-tags",
+        ],
     )
-    def test_param_out_of_range_exits_two(self, tmp_path, capsys, scenario, params, message):
+    def test_param_out_of_range_exits_two(self, tmp_path, capsys, monkeypatch, scenario, params, message):
         """A param of the right shape but outside the range its scenario
         supports is one config error line when the config loads, before any
         scenario runs, not an error after the others have run."""
+        ran = []
+        monkeypatch.setattr(cli, "run_scenario", lambda cfg: ran.append(cfg.name))
         first = {"name": "first", "scenario": "dichotomy", "seed": 0, "params": {"trials": 1}}
         bad = {"name": "bad", "scenario": scenario, "seed": 0, "params": params}
         cfg = self._config_file(tmp_path, [first, bad])
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert ran == []
         assert not out.exists()
 
     @pytest.mark.parametrize(

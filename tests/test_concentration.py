@@ -38,7 +38,7 @@ def random_lines(rng, count, n, max_foot=0.8):
         u = rng.normal(size=n)
         u /= np.linalg.norm(u)
         x = rng.uniform(-max_foot, max_foot, size=n)
-        lines.append(Line.through(x, u))
+        lines.append(Line(u, x))
     return lines
 
 
@@ -113,7 +113,7 @@ def clustered_lines(rng, count, n, spread):
     lines = []
     for _ in range(count):
         u = np.eye(n)[0] + spread * rng.normal(size=n)
-        lines.append(Line.through(spread * rng.normal(size=n), u / np.linalg.norm(u)))
+        lines.append(Line(u / np.linalg.norm(u), spread * rng.normal(size=n)))
     return lines
 
 

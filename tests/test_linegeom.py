@@ -76,7 +76,7 @@ class TestDirection:
 
 class TestLine:
     def test_foot_orthogonal(self):
-        l = Line.through([2.0, 0.7, -1.0], [1.0, 0.0, 0.0])
+        l = Line([1.0, 0.0, 0.0], [2.0, 0.7, -1.0])
         assert abs(float(np.dot(l.x, l.u.u))) <= 1e-10
         np.testing.assert_allclose(l.x, [0.0, 0.7, -1.0], atol=1e-12)
 
@@ -87,26 +87,26 @@ class TestLine:
 
 class TestLineMetric:
     def test_identity(self):
-        l = Line.through([0.2, 0.4], [1.0, 1.0])
+        l = Line([1.0, 1.0], [0.2, 0.4])
         assert line_metric(l, l) == 0.0
 
     def test_orthogonal_axes_through_origin(self):
-        lx = Line.through([0.0, 0.0], [1.0, 0.0])
-        ly = Line.through([0.0, 0.0], [0.0, 1.0])
+        lx = Line([1.0, 0.0], [0.0, 0.0])
+        ly = Line([0.0, 1.0], [0.0, 0.0])
         assert line_metric(lx, ly) == pytest.approx(1.0, abs=1e-12)
 
     def test_parallel_offset(self):
         # Feet 0 and (0, 0.3), directions equal: the metric reduces to the
         # foot distance 0.3 (direct evaluation of |x - x'| + |u ^ u'|).
-        lx = Line.through([0.0, 0.0], [1.0, 0.0])
-        l2 = Line.through([0.0, 0.3], [1.0, 0.0])
+        lx = Line([1.0, 0.0], [0.0, 0.0])
+        l2 = Line([1.0, 0.0], [0.0, 0.3])
         assert line_metric(lx, l2) == pytest.approx(0.3, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(GeometryError):
             line_metric(
-                Line.through([0.0, 0.0], [1.0, 0.0]),
-                Line.through([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                Line([1.0, 0.0], [0.0, 0.0]),
+                Line([1.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
             )
 
     def test_symmetry_and_triangle_random_triples(self):
@@ -115,7 +115,7 @@ class TestLineMetric:
             for _ in range(3400):
                 us = random_units(rng, 3, n)
                 feet = rng.uniform(-1, 1, size=(3, n))
-                lines = [Line.through(x, u) for x, u in zip(feet, us)]
+                lines = [Line(u, x) for x, u in zip(feet, us)]
                 dab = line_metric(lines[0], lines[1])
                 dba = line_metric(lines[1], lines[0])
                 dbc = line_metric(lines[1], lines[2])

@@ -3,7 +3,9 @@
 A traced run skips a hook whose target is gone, and a counter reads call
 arguments by parameter name and result attributes by attribute name, so a
 rename in tubelab would silently blind it.  These tests read the hook table
-and call its counters directly, without installing any wrapper.
+and call its counters directly, without installing any wrapper.  A `cli`
+target must also be looked up when its scenario calls it: each one is
+replaced by a counting wrapper, which a small run of its scenario must call.
 """
 
 import importlib
@@ -13,6 +15,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -131,3 +134,49 @@ def test_dense_build_counter_reads_a_field_only_build(monkeypatch):
     counters, sets = defaultdict(float), defaultdict(set)
     counter(counters, sets, spans._Arguments(inspect.signature(fn), args, {}), fn(*args), None)
     assert counters["functionals.raster_dense_builds"] == 1
+
+
+#: A small config of the scenario that reaches each `cli` attribute in the
+#: hook table: (scenario, params).
+CLI_HOOK_CONFIGS = {
+    "worst_ratio_of_lines": ("thin", {"n_lines": 16, "delta": 2.0**-6, "seeds": 1, "binomial_trials": 10}),
+    "random_thin": ("thin", {"n_lines": 16, "delta": 2.0**-6, "seeds": 1, "binomial_trials": 10}),
+    "gen_lines_in_planes": ("sharpness", {"configs": [{"n": 2, "d": 1, "beta": 1.0, "scales": [0.25, 0.125, 0.0625]}]}),
+    "exponent_fit_norms": ("sharpness", {"configs": [{"n": 2, "d": 1, "beta": 1.0, "scales": [0.25, 0.125, 0.0625]}]}),
+    "decide_dichotomy": ("dichotomy", {"trials": 8}),
+    "verify_option_a": ("dichotomy", {"trials": 8}),
+    "verify_option_b": ("dichotomy", {"trials": 8}),
+    "control_card_ratio": ("dichotomy", {"trials": 8}),
+    "holder_comparison": ("dimension", {"disk_h": 2.0**-5, "families": [{"n": 2, "d": 1, "beta": 1.0, "delta": 0.125}]}),
+    "box_counting_dim": ("dimension", {"disk_h": 2.0**-5, "families": [{"n": 2, "d": 1, "beta": 1.0, "delta": 0.125}]}),
+    "mk_ratio": ("kakeya", {"deltas": [0.0625], "members": ["bush-n2"]}),
+    "decompose_constant": ("decompose", {"deltas": [0.0625], "members": ["bush-n2"]}),
+    "induction_constant": ("induction", {"deltas": [0.0625], "members": ["bush-n2"]}),
+}
+
+
+def _cli_targets():
+    return sorted({t.split(".", 1)[1] for _, targets, _ in _hooks() for t in targets if t.startswith("cli.")})
+
+
+def test_every_cli_hook_target_has_a_config():
+    assert _cli_targets() == sorted(CLI_HOOK_CONFIGS)
+
+
+@pytest.mark.parametrize("name", _cli_targets())
+def test_cli_hook_target_is_looked_up_at_call_time(monkeypatch, name):
+    """A traced run replaces `cli.<name>`; its scenario must call the
+    replacement, which a name bound early (a default argument, a partial, an
+    alias made at import) would bypass."""
+    from tubelab import cli
+
+    original, calls = getattr(cli, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counting)
+    scenario, params = CLI_HOOK_CONFIGS[name]
+    cli.run_scenario(cli.ExperimentConfig(f"hook-{name}", scenario, 0, params))
+    assert calls
