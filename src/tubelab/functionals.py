@@ -14,10 +14,11 @@ so independent of the batch, as the only membership decision.  The test runs
 on the cells at both ends of an interval; the distance to a segment is convex
 along a row, so the cells between two ends that pass with a margin are kept
 untested, and the kept cells of a row form one run.  A family is rasterized
-once per grid into a `FamilyRaster`: its runs are counted in an int64 field
-by differences along each row and a cumulative sum, or by `np.unique` for
-sparse families of at most PER_TUBE_LIMIT tubes, and small families also
-keep their runs, the one per-tube index.  `rasterize_tube` is the one-tube
+once per grid into a `FamilyRaster`: its runs are counted in an int32 field
+(FIELD_DTYPE) by differences along each row and a cumulative sum, or by
+`np.unique` for sparse families of at most PER_TUBE_LIMIT tubes, with the
+counts of the occupied cells kept as int64 either way, and small families
+also keep their runs, the one per-tube index.  `rasterize_tube` is the one-tube
 case.  The raster carries its family and is passed to every evaluation on
 that grid, so norms, cap and coarse-tube groupings and multilinear sums
 share one rasterization.  Multilinear sums keep the (cell, tube) pairs of
@@ -66,11 +67,16 @@ COARSE_LENGTH = 3.0
 #: dense count field.
 PER_TUBE_LIMIT = 4000
 
-#: Largest dense count field, in bytes (8 per grid cell), that
-#: `FamilyRaster.build` allocates.  Every family counted in a field is
-#: counted in place, a batch of tubes at a time, so the field is the whole
-#: full-size allocation of a build, and this limit counts it alone.
+#: Largest dense count field, in bytes (FIELD_DTYPE.itemsize per grid
+#: cell), that `FamilyRaster.build` allocates.  Every family counted in a
+#: field is counted in place, a batch of tubes at a time, so the field is the
+#: whole full-size allocation of a build, and this limit counts it alone.
 DENSE_BYTES_LIMIT = 2**30
+
+#: Cell type of the dense count field.  A count never exceeds the family's
+#: tube count, and the planes generator caps families at 400,000 tubes, so
+#: int32 holds every count in half the bytes of int64.
+FIELD_DTYPE = np.dtype(np.int32)
 
 
 class UnderResolvedGridError(ValueError):
@@ -129,10 +135,7 @@ class TubeFamily:
     def p(self) -> float:
         """Conjugate exponent of p' = d + beta."""
         if self.beta == 0.0:
-            raise ValueError(
-                "beta = 0 is rejected here (p would degenerate); "
-                "replace d by d-1 and beta by 1 before calling"
-            )
+            raise ValueError("beta = 0 is unsupported here: the estimates are checked for beta in (0, 1]")
         return self.p_prime / (self.p_prime - 1.0)
 
     def direction_matrix(self) -> np.ndarray:
@@ -264,7 +267,8 @@ _RUN_MARGIN = 1e-11
 
 #: Estimated candidate rows per batch of tubes: a 128th of the grid's cells,
 #: within these bounds.  A row takes about 500 bytes of temporaries while its
-#: batch is tested, so a batch takes about half the count field's bytes.
+#: batch is tested, so a batch takes about the count field's bytes (4 per
+#: cell).
 _BATCH_ROWS = (1024, 16384)
 
 
@@ -496,14 +500,19 @@ def _scan_cells(m: int, c: np.ndarray, u: np.ndarray, half: np.ndarray, r: np.nd
     return tube[hit], rows[:, hit], first[hit].astype(np.int64), last[hit].astype(np.int64)
 
 
+def _field_bytes(grid: Grid) -> int:
+    """Bytes of the dense count field of `grid`."""
+    return grid.total_cells * FIELD_DTYPE.itemsize
+
+
 def _check_dense_size(F: TubeFamily, grid: Grid) -> None:
     """Raise MemoryError, naming the largest grid factor that fits, when the
     dense count field of `grid` exceeds DENSE_BYTES_LIMIT."""
-    need, limit = grid.total_cells * 8, DENSE_BYTES_LIMIT
+    need, limit = _field_bytes(grid), DENSE_BYTES_LIMIT
     if need <= limit:
         return
     factor = math.floor(F.delta / grid.h + 1e-9)
-    while factor >= 1 and Grid(grid.n, F.delta / factor, grid.extent).total_cells * 8 > limit:
+    while factor >= 1 and _field_bytes(Grid(grid.n, F.delta / factor, grid.extent)) > limit:
         factor -= 1
     hint = (
         f"the largest grid factor that fits is {factor} (h = delta/{factor})"
@@ -519,16 +528,19 @@ def _check_dense_size(F: TubeFamily, grid: Grid) -> None:
 
 def _field_counts(grid: Grid, runs) -> tuple[np.ndarray, np.ndarray, int]:
     """(occ, counts, entries) of the kept runs of `_tube_runs`, counted in one
-    int64 field of the grid's cells.
+    FIELD_DTYPE field of the grid's cells; the counts come out as int64.
 
     For each scan axis a, the field is differenced along a in place, each
     run adds +1 at its first cell and -1 one past its last (none when the run
     ends on the grid's last cell along a, which would spill into the next
     row), and a cumulative sum along a, in place, restores the counts.  The
-    field is the only full-size allocation.
+    field is the only full-size allocation.  The updates and the sum stay in
+    the field's type: numpy's `ufunc.at` fast path needs a scalar of that
+    type, and `cumsum` accumulates small integer types in int64 unless told.
     """
     m, n = grid.m, grid.n
-    dense = np.zeros(grid.total_cells, dtype=np.int64)
+    one = FIELD_DTYPE.type(1)
+    dense = np.zeros(grid.total_cells, dtype=FIELD_DTYPE)
     cube = dense.reshape((m,) * n)
     entries = 0
     for a, batches in itertools.groupby(runs, key=lambda b: b[0]):
@@ -537,12 +549,12 @@ def _field_counts(grid: Grid, runs) -> tuple[np.ndarray, np.ndarray, int]:
         step = m ** (n - 1 - a)
         for _, _, start, count in batches:
             entries += int(count.sum())
-            np.add.at(dense, start, 1)
+            np.add.at(dense, start, one)
             inside = start // step % m + count < m
-            np.subtract.at(dense, start[inside] + count[inside] * step, 1)
-        np.cumsum(cube, axis=a, out=cube)
+            np.subtract.at(dense, start[inside] + count[inside] * step, one)
+        np.cumsum(cube, axis=a, dtype=FIELD_DTYPE, out=cube)
     occ = np.flatnonzero(dense)
-    return occ, dense[occ], entries
+    return occ, dense[occ].astype(np.int64), entries
 
 
 def _difference(slabs: np.ndarray) -> None:
@@ -569,13 +581,14 @@ class FamilyRaster:
     """Rasterization of one family on one grid.
 
     `FamilyRaster.build` scans the family's tubes in batches into kept runs
-    along rows of cells (`_tube_runs`) and counts the runs in one int64
-    field (`_field_counts`).  Families of more than PER_TUBE_LIMIT tubes are
-    always counted in the field.  A smaller family is counted by `np.unique`
-    over its cells instead when they number under a quarter of the grid's
-    cells (its arrays, about four copies of the cells, then stay smaller
-    than the field and take less time), or when the field exceeds
-    DENSE_BYTES_LIMIT.
+    along rows of cells (`_tube_runs`) and counts the runs in one
+    FIELD_DTYPE field (`_field_counts`).  Families of more than
+    PER_TUBE_LIMIT tubes are always counted in the field.  A smaller family
+    is counted by `np.unique` over its cells instead when they number under
+    a quarter of the grid's cells (its arrays, about four int64 copies of
+    the cells, then take under 8 bytes per grid cell, at most twice the
+    4-byte field, and less time), or when the field exceeds
+    DENSE_BYTES_LIMIT.  `counts` is int64 on both paths.
 
     `tube_cells` holds the kept runs of families of at most PER_TUBE_LIMIT
     tubes, the batches of `_tube_runs`, the one per-tube index: multilinear
@@ -599,7 +612,7 @@ class FamilyRaster:
             return cls(F, grid, *_field_counts(grid, _tube_runs(grid, F.tubes)), None)
         runs = list(_tube_runs(grid, F.tubes))
         entries = sum(int(count.sum()) for _, _, _, count in runs)
-        if 4 * entries >= grid.total_cells and grid.total_cells * 8 <= DENSE_BYTES_LIMIT:
+        if 4 * entries >= grid.total_cells and _field_bytes(grid) <= DENSE_BYTES_LIMIT:
             occ, counts, _ = _field_counts(grid, runs)
         else:
             _, start, count, step = _run_arrays(grid, runs)

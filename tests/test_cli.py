@@ -2,9 +2,11 @@
 
 import json
 import math
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tubelab import cli
@@ -19,6 +21,7 @@ from tubelab.cli import (
     run_scenario,
 )
 from tubelab.dichotomy import decide_dichotomy
+from tubelab.functionals import Grid
 
 QUICK_DICHOTOMY = {
     "name": "dich",
@@ -150,6 +153,35 @@ class TestReports:
         assert rep.payload["version"]
         assert rep.payload["checks"]
         assert rep.passed
+
+
+class TestDiskRegion:
+    """The dimension scenario's disk, tested a slab of grid rows at a time."""
+
+    @staticmethod
+    def full_grid_disk(G):
+        centers = G.centers_of_linear(np.arange(G.m**2))
+        return np.nonzero(np.linalg.norm(centers, axis=1) <= 1.0)[0]
+
+    @pytest.mark.parametrize("h", [2.0**-8, 0.03])
+    def test_equals_full_grid_reference(self, h):
+        G = Grid(2, h, 1.0)
+        if h == 0.03:
+            assert G.m % cli._DISK_SLAB_ROWS != 0
+        disk = cli._disk_region(G)
+        np.testing.assert_array_equal(disk.cells, self.full_grid_disk(G))
+        assert disk.cells.dtype == np.int64
+
+    def test_peak_below_full_grid_centers(self):
+        # The full grid's centers alone take m^2 x 16 bytes (4 MiB at 2^-8).
+        G = Grid(2, 2.0**-8, 1.0)
+        tracemalloc.start()
+        try:
+            cli._disk_region(G)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < G.m**2 * 16, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestGolden:

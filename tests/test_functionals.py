@@ -276,13 +276,48 @@ class TestRasterization:
         F = generic_family(rng, 2, 1 / 16, 3)
         monkeypatch.setattr(functionals, "PER_TUBE_LIMIT", 1)
         G8 = Grid.for_family(F, 8)
-        monkeypatch.setattr(functionals, "DENSE_BYTES_LIMIT", Grid.for_family(F, 5).total_cells * 8)
+        cell_bytes = functionals.FIELD_DTYPE.itemsize
+        monkeypatch.setattr(functionals, "DENSE_BYTES_LIMIT", Grid.for_family(F, 5).total_cells * cell_bytes)
         with pytest.raises(MemoryError, match=rf"{G8.m}\^2 cells.*largest grid factor that fits is 5"):
             FamilyRaster.build(F, G8)
         assert FamilyRaster.build(F, Grid.for_family(F, 5)).tube_cells is None
-        monkeypatch.setattr(functionals, "DENSE_BYTES_LIMIT", 8)
+        monkeypatch.setattr(functionals, "DENSE_BYTES_LIMIT", cell_bytes)
         with pytest.raises(MemoryError, match="no grid with h <= delta/2 fits"):
             FamilyRaster.build(F, Grid.for_family(F, 2))
+
+    def test_field_that_fits_only_at_its_own_cell_size_is_counted(self, monkeypatch):
+        # 640 tubes with 1.4M entries on 88^3 cells pick the count field.
+        # The limit admits the field at its own cell size but not at 8
+        # bytes per cell: the build counts in the field and equals np.unique.
+        F = gen_lines_in_planes(3, 2, 1.0, 0.1)
+        G = Grid.for_family(F, 4)
+        with monkeypatch.context() as mp:
+            mp.setattr(functionals, "DENSE_BYTES_LIMIT", 0)
+            unique = FamilyRaster.build(F, G)
+        limit = G.total_cells * functionals.FIELD_DTYPE.itemsize
+        assert G.total_cells * 8 > limit
+        monkeypatch.setattr(functionals, "DENSE_BYTES_LIMIT", limit)
+        calls = []
+        field_counts = functionals._field_counts
+        monkeypatch.setattr(functionals, "_field_counts", lambda *a: calls.append(1) or field_counts(*a))
+        rasters = {"default": FamilyRaster.build(F, G)}
+        monkeypatch.setattr(functionals, "PER_TUBE_LIMIT", -1)
+        rasters["field"] = FamilyRaster.build(F, G)
+        assert len(calls) == 2
+        for path, raster in rasters.items():
+            np.testing.assert_array_equal(raster.occ, unique.occ, err_msg=path)
+            np.testing.assert_array_equal(raster.counts, unique.counts, err_msg=path)
+            assert raster.counts.dtype == np.int64 and raster.entries == unique.entries, path
+
+    def test_planes_family_at_two_to_minus_six_fits_at_factor_4(self):
+        # n = 3, d = 2, beta = 1/2 at delta = 2^-6: 520^3 cells take 536 MiB
+        # as the count field, under DENSE_BYTES_LIMIT at factor 4, not at 5.
+        F = gen_lines_in_planes(3, 2, 0.5, 2.0**-6)
+        G4 = Grid.for_family(F, 4)
+        assert G4.m == 520 and functionals._field_bytes(G4) <= functionals.DENSE_BYTES_LIMIT
+        functionals._check_dense_size(F, G4)
+        with pytest.raises(MemoryError, match="largest grid factor that fits is 4"):
+            functionals._check_dense_size(F, Grid.for_family(F, 5))
 
 
 def exact_raster(G, T):
@@ -299,7 +334,7 @@ def exact_raster(G, T):
 
 
 def count_paths(monkeypatch, F, G):
-    """{path: raster} of F on G: the default build, the int64 count field
+    """{path: raster} of F on G: the default build, the count field
     (forced by a family above PER_TUBE_LIMIT) and np.unique over the cells
     (forced by a field above DENSE_BYTES_LIMIT)."""
     rasters = {"default": FamilyRaster.build(F, G)}
@@ -1088,7 +1123,7 @@ class TestCalculationChain:
         delta = 2.0**-4
         F = family([Tube([0.0, 0.0], Direction([1.0, 0.0]), delta)], delta, 2, d=1, beta=0.0)
         G = Grid.for_family(F, 4)
-        with pytest.raises(ValueError, match="beta"):
+        with pytest.raises(ValueError, match=r"beta = 0 is unsupported here"):
             calculation_chain(F, G)
 
 
