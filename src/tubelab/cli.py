@@ -251,6 +251,13 @@ def _tag(entry: dict) -> str:
     return f"n{int(entry['n'])}d{int(entry['d'])}"
 
 
+def _planes(entry: dict):
+    """The planes family of a sharpness `configs` or dimension `families`
+    entry as a function of the scale, capped at 400,000 tubes."""
+    n, d, beta = int(entry["n"]), int(entry["d"]), float(entry["beta"])
+    return lambda delta: gen_lines_in_planes(n, d, beta, delta, size_cap=400_000)
+
+
 # ---------------------------------------------------------------------------
 # scenario runners
 # ---------------------------------------------------------------------------
@@ -450,13 +457,7 @@ def _run_dimension(params: dict, seed: int):
     checks.append(_check("cantor_dim", abs(cfit.slope - 0.5) <= 0.15, cfit.slope, "0.5 +- 0.15"))
 
     for fam_cfg in params["families"]:
-        n, d, beta, dl = (
-            int(fam_cfg["n"]),
-            int(fam_cfg["d"]),
-            float(fam_cfg["beta"]),
-            float(fam_cfg["delta"]),
-        )
-        F = gen_lines_in_planes(n, d, beta, dl, size_cap=400_000)
+        F = _planes(fam_cfg)(float(fam_cfg["delta"]))
         Gf = Grid.for_family(F, factor=4)
         rep = holder_comparison(F, Gf, F.p)
         tag = _tag(fam_cfg)
@@ -476,13 +477,10 @@ def _run_sharpness(params: dict, seed: int):
     constants = {}
     checks = []
     for cfg in params["configs"]:
-        n, d, beta = int(cfg["n"]), int(cfg["d"]), float(cfg["beta"])
+        d, beta = int(cfg["d"]), float(cfg["beta"])
         scales = [float(s) for s in cfg["scales"]]
         p = (d + beta) / (d + beta - 1.0)
-        fit = exponent_fit_norms(
-            lambda dl: gen_lines_in_planes(n, d, beta, dl, size_cap=400_000),
-            scales, p, grid_factor=factor,
-        )
+        fit = exponent_fit_norms(_planes(cfg), scales, p, grid_factor=factor)
         target = (1.0 - d) / (d + beta)
         tag = _tag(cfg)
         values[f"slope[{tag}]"] = fit.slope

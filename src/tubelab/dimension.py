@@ -209,7 +209,6 @@ def holder_comparison(F: TubeFamily, G: Grid, p: float) -> HolderReport:
     """Evaluate the duality chain for the family's own exponent p = (d+b)/(d+b-1)."""
     if abs(p - F.p) > 1e-9:
         raise ValueError(f"p must equal (d+beta)/(d+beta-1) = {F.p}, got {p}")
-    G.check_resolves(F)
     p_prime = F.p_prime
     raster = FamilyRaster.build(F, G)
     if raster.occ.size == 0:

@@ -28,7 +28,7 @@ its own tubes, in chunks of at most WEDGE_TUPLE_LIMIT tuples; neither the N^k
 wedge table nor the k-fold product over cells is ever materialized.  Grouped
 norms expand the runs into sorted per-tube cell lists for the length of one
 call and merge a group's lists with one stable sort, and the rho-coarsening
-tests all lattice candidates of a (tube, cap) pair in one broadcast.
+tests the lattice candidates of every (tube, cap) pair in one array pass.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ PER_TUBE_LIMIT = 4000
 DENSE_BYTES_LIMIT = 2**30
 
 #: Cell type of the dense count field.  A count never exceeds the family's
-#: tube count, and the planes generator caps families at 400,000 tubes, so
+#: tube count, which is far below 2^31 for any family held in memory, so
 #: int32 holds every count in half the bytes of int64.
 FIELD_DTYPE = np.dtype(np.int32)
 
@@ -869,7 +869,8 @@ def coarsen_to_rho_tubes(F: TubeFamily, rho: float) -> RhoCoarsening:
     lattice: unit spacing along the axis (segments of length 3) and rho/4
     spacing transversally.  The direction cover has diameter rho/2 so that
     containment holds with margin for every delta < rho/2.  Only coarse
-    tubes that actually receive a fine tube are materialized.
+    tubes that actually receive a fine tube are materialized, numbered in
+    the order they are first reached: by tube, then cap, then candidate.
     """
     delta = F.delta
     if not delta < rho / 2.0:
@@ -886,42 +887,41 @@ def coarsen_to_rho_tubes(F: TubeFamily, rho: float) -> RhoCoarsening:
     shifts = np.repeat(np.arange(-1, 2), len(box))
     offsets = np.tile(box, (3, 1))
     bases = _complete_unit_rows(cover.center_matrix)[:, 1:]
-
-    coarse_index: dict[tuple, int] = {}
-    coarse_tubes: list[Tube] = []
-    assignment: list[tuple[int, ...]] = []
-    member = cover.membership(F.direction_matrix())
-    for ti, tube in enumerate(F.tubes):
-        got: list[int] = []
-        ends = np.stack(tube.endpoints)
-        for ci in np.flatnonzero(member[ti]).tolist():
-            w, Q = cover.centers[ci].u, bases[ci]
-            a = shifts + round(float(np.dot(tube.segment_center, w)))
-            j = np.round(Q @ tube.segment_center / trans).astype(np.int64) + offsets
-            # Row by row this is a * w + Q.T @ (j * trans): the stacked
-            # product makes the same matrix-vector call per row.
-            centers = a[:, None] * w + np.matmul(Q.T, (j * trans)[:, :, None])[:, :, 0]
-            dists = segment_point_distances(ends, centers[:, None, :], w, COARSE_LENGTH)
-            for row in np.flatnonzero(dists.max(axis=1) <= rho - delta + 1e-12).tolist():
-                key = (ci, int(a[row]), *j[row].tolist())
-                idx = coarse_index.get(key)
-                if idx is None:
-                    idx = coarse_index[key] = len(coarse_tubes)
-                    coarse_tubes.append(Tube(centers[row], cover.centers[ci], rho, COARSE_LENGTH))
-                got.append(idx)
-        if not got:
-            raise GeometryError(
-                f"fine tube {ti} not contained in any lattice rho-tube "
-                f"(delta={delta}, rho={rho})"
-            )
-        if len(got) > coarse_overlap_bound(n):
-            raise GeometryError(
-                f"fine tube {ti} assigned to {len(got)} coarse tubes, "
-                f"bound is {coarse_overlap_bound(n)}"
-            )
-        assignment.append(tuple(sorted(got)))
-
-    return RhoCoarsening(float(rho), tuple(coarse_tubes), tuple(assignment))
+    # Every (tube, cap) pair, tube-major with caps ascending, and the 3^n
+    # candidates of each pair, all tested at once.
+    U = F.direction_matrix()
+    c = np.array([t.segment_center for t in F.tubes]).reshape(-1, n)
+    half = (0.5 * np.array([t.length for t in F.tubes]))[:, None] * U
+    pt, pc = np.nonzero(cover.membership(U))
+    w, Q = cover.center_matrix[pc], bases[pc]
+    a = np.round(rowdot(c[pt], w)).astype(np.int64)[:, None] + shifts
+    j = np.round((Q @ c[pt, :, None])[:, :, 0] / trans).astype(np.int64)[:, None] + offsets
+    # Candidate by candidate this is a * w + Q.T @ (j * trans): the stacked
+    # product makes the same matrix-vector call per candidate.
+    centers = a[:, :, None] * w[:, None] + (Q.transpose(0, 2, 1)[:, None] @ (j * trans)[..., None])[..., 0]
+    ends = np.stack([c - half, c + half], axis=1)[pt, None]
+    far = segment_point_distances(ends, centers[:, :, None], w[:, None, None], COARSE_LENGTH).max(axis=2)
+    keep = far <= rho - delta + 1e-12
+    pair, a, j, centers = np.nonzero(keep)[0], a[keep], j[keep], centers[keep]
+    # Number the distinct (cap, a, *j) keys by their first candidate.
+    labels, first = row_labels(np.column_stack([pc[pair], a, j]))
+    kept = np.sort(first)
+    coarse, fine = np.searchsorted(kept, first)[labels], pt[pair]
+    counts = np.bincount(fine, minlength=len(F))
+    bad = np.flatnonzero((counts == 0) | (counts > coarse_overlap_bound(n)))
+    if bad.size:
+        ti, count = int(bad[0]), int(counts[bad[0]])
+        raise GeometryError(
+            f"fine tube {ti} assigned to {count} coarse tubes, bound is {coarse_overlap_bound(n)}"
+            if count
+            else f"fine tube {ti} not contained in any lattice rho-tube (delta={delta}, rho={rho})"
+        )
+    got = coarse[np.lexsort((coarse, fine))].tolist()
+    cuts = np.cumsum(counts).tolist()
+    assignment = tuple(tuple(got[s:e]) for s, e in zip([0, *cuts], cuts))
+    caps = pc[pair[kept]].tolist()
+    coarse_tubes = tuple(Tube(x, cover.centers[ci], rho, COARSE_LENGTH) for x, ci in zip(centers[kept], caps))
+    return RhoCoarsening(float(rho), coarse_tubes, assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,14 @@ from tubelab.dimension import (
     exponent_fit_norms,
     holder_comparison,
 )
-from tubelab.functionals import FamilyRaster, Grid, TubeFamily, lp_norm_tube_sum, rasterize_tube
+from tubelab.functionals import (
+    FamilyRaster,
+    Grid,
+    TubeFamily,
+    UnderResolvedGridError,
+    lp_norm_tube_sum,
+    rasterize_tube,
+)
 from tubelab.generators import cantor_offsets, gen_bush, gen_lines_in_planes
 from tubelab.linegeom import Direction, GeometryError, Tube
 from tubelab.suites import suite_member
@@ -263,6 +270,12 @@ class TestHolderComparison:
         G = Grid.for_family(F, 4)
         with pytest.raises(ValueError, match="p must equal"):
             holder_comparison(F, G, 3.0)
+
+    def test_under_resolved_grid_rejected(self):
+        F = gen_lines_in_planes(2, 1, 1.0, 2.0**-5)
+        G = Grid(2, 0.6 * F.delta, 1.0 + F.delta)
+        with pytest.raises(UnderResolvedGridError, match=r"grid step .* exceeds delta/2"):
+            holder_comparison(F, G, F.p)
 
     def test_chain_holds_on_random_families(self):
         from tubelab.generators import gen_random_nonconcentrated

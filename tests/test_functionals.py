@@ -259,7 +259,9 @@ class TestRasterization:
         # 640 tubes, below PER_TUBE_LIMIT, with 1.4M incidence entries on a
         # grid of 88^3 cells (5.3 MiB as int64): a norm counts its runs in
         # the field and expands no per-tube cell lists, which with their
-        # concatenation would take 2 x 11 MiB.
+        # concatenation would take 2 x 11 MiB.  The bound is an int64 field
+        # plus 2 MiB for a batch, so a field grown back to 8 bytes per cell
+        # fails it.
         F = gen_lines_in_planes(3, 2, 1.0, 0.1)
         G = Grid.for_family(F, 4)
         assert len(F) == 640 and G.m == 88
@@ -269,7 +271,7 @@ class TestRasterization:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * G.total_cells * 8 + 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < G.total_cells * 8 + 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_dense_field_over_limit_names_largest_factor(self, monkeypatch):
         rng = np.random.default_rng(6)
@@ -1045,6 +1047,21 @@ class TestCoarseningAgainstScalarLoop:
         assert len(co.coarse_tubes) == len(centers)
         for C, center in zip(co.coarse_tubes, centers):
             assert C.segment_center.tobytes() == center.tobytes()
+
+    @pytest.mark.parametrize(("n", "count", "delta", "rho"), [(3, 20, 2.0**-6, 8 * 2.0**-6), (4, 4, 2.0**-4, 0.5)])
+    def test_generic_family_equal(self, n, count, delta, rho):
+        F = generic_family(np.random.default_rng(41), n, delta, count)
+        co = coarsen_to_rho_tubes(F, rho)
+        assignment, centers = per_offset_coarsening(F, rho)
+        assert co.assignment == assignment
+        assert [C.segment_center.tobytes() for C in co.coarse_tubes] == [c.tobytes() for c in centers]
+
+    def test_empty_family(self):
+        F = family([], 2.0**-5, 3)
+        co = coarsen_to_rho_tubes(F, 0.25)
+        assert co.assignment == () and co.coarse_tubes == ()
+        raster = FamilyRaster.build(F, Grid.for_family(F, 4))
+        assert induction_step_terms(raster, 0.25) == (0.0, 0.0)
 
     def test_uncontained_tube_named(self, monkeypatch):
         delta = 2.0**-5
